@@ -26,6 +26,12 @@ used), and {S, S} contracts the variation with Q again, so the reported
 residual is the trace pairing <Q Q> against the unsigned size of the
 terms that have to cancel.
 
+Grid products read the complex's product wiring table
+(`GComplex.wiring`) and its trace block and weights, so the grid and the
+coefficient products agree on which pieces multiply, with what sign and
+multiplicity; only the contraction differs (pointwise on the grid instead
+of through projected function tensors).
+
 Auxiliary generators are kept as bit masks; moving a generator past a
 coefficient of odd internal parity costs a sign, and merging two masks
 costs the usual interleaving sign.
@@ -33,7 +39,7 @@ costs the usual interleaving sign.
 
 import numpy as np
 
-from .gcomplex import GComplex, _mult_tensor
+from .gcomplex import GComplex
 
 __all__ = [
     "BFData", "SuperField", "bv_action", "master_equation_residual",
@@ -146,30 +152,10 @@ class BFData(object):
                 pos += b.mult * grid.w.size
         self.gdim = pos
         self._ngrid = grid.w.size
-        self._trace_block = g._find_block(ext=2, hom=0, part="w")
-        self._trace_weights = 2.0j * grid.w / grid.D ** 2
         red = np.asarray(g.space.reduced_degrees())
         self._piece_parity = {
             (bi, q): int(red[g.block_slice(bi, q).start]) % 2
             for bi in range(len(g.blocks)) for q in (0, 1)}
-        # product wiring shared by every grid multiplication
-        self._gterms = []
-        for bx in range(len(g.blocks)):
-            for by in range(len(g.blocks)):
-                bt = g._target_block(bx, by)
-                if bt is None:
-                    continue
-                mt = _mult_tensor(g.blocks[bx].mult_label,
-                                  g.blocks[by].mult_label)
-                if mt is None:
-                    continue
-                for qx in (0, 1):
-                    for qy in (0, 1):
-                        if qx + qy > 1:
-                            continue
-                        self._gterms.append(
-                            (bx, qx, by, qy, bt, qx + qy,
-                             g._sign(bx, qx, by, qy), mt))
 
     # -- field sampling ---------------------------------------------------
 
@@ -276,7 +262,7 @@ class BFData(object):
         xsplit = self._mask_split(mx, x.parity)
         ysplit = self._mask_split(my, y.parity)
         acc = {s: np.zeros((self.gdim, k, k), dtype=complex) for s in tgt}
-        for bx, qx, by, qy, bt, qt, psgn, mt in self._gterms:
+        for bx, qx, by, qy, bt, qt, psgn, mt in self.g.wiring:
             ia = xsplit[self._piece_parity[(bx, qx)]]
             ib = ysplit[self._piece_parity[(by, qy)]]
             if not ia or not ib:
@@ -320,13 +306,13 @@ class BFData(object):
         mx, my, sgn, tgt = self._mask_tables(x, y)
         vals = {s: 0.0 for s in tgt}
         scale = {s: 0.0 for s in tgt}
-        tw = self._trace_weights
+        tw = self.g.trace_weights
         xs = np.stack([x.terms[s] for s in mx])
         ys = np.stack([y.terms[t] for t in my])
         xsplit = self._mask_split(mx, x.parity)
         ysplit = self._mask_split(my, y.parity)
-        for bx, qx, by, qy, bt, qt, psgn, mt in self._gterms:
-            if bt != self._trace_block or qt != 1:
+        for bx, qx, by, qy, bt, qt, psgn, mt in self.g.wiring:
+            if bt != self.g.trace_block or qt != 1:
                 continue
             ia = xsplit[self._piece_parity[(bx, qx)]]
             ib = ysplit[self._piece_parity[(by, qy)]]

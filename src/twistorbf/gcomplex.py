@@ -20,8 +20,16 @@ spins) while each short sequence remains exact level by level.
 
 Products are computed on a fixed quadrature grid that is exact for the
 closed radial family, so structure constants carry only roundoff error.
-All caches are per-instance and filled lazily; instances are immutable
-after construction.
+The product wiring table (`GComplex.wiring`, built once per complex) is
+the one place that decides which pairs of block pieces multiply, into
+which piece, with what Koszul sign and what multiplicity tensor.  Every
+product path reads it: single, batched and contracted coefficient
+products, left multiplication operators, the trace pairing, and the grid
+products of the bv module.
+
+All caches are per-instance, the line bundle models included (an extended
+complex shares its models with its quotient), and filled lazily; instances
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -31,16 +39,6 @@ import numpy as np
 from .graded import BiDegree, BigradedSpace, Pairing
 from .radial import SphereGrid
 from .sphere import build_model
-
-_MODEL_CACHE = {}
-
-
-def _model(n, levels):
-    key = (n, levels)
-    if key not in _MODEL_CACHE:
-        _MODEL_CACHE[key] = build_model(n, levels)
-    return _MODEL_CACHE[key]
-
 
 EPS_PLUS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -57,15 +55,15 @@ _O_BASE = (BiDegree(0, 0), BiDegree(3, 2), BiDegree(6, 4))
 class GBlock:
     """One spectral block: a line bundle model with a multiplicity factor."""
 
-    def __init__(self, part, ext, hom, twist, mult, mult_label, levels):
+    def __init__(self, part, ext, hom, model, mult, mult_label):
         self.part = part            # "o" or "w" (the ideal side)
         self.ext = ext              # exterior degree 0, 1, 2
         self.hom = hom              # homological index 0 or -1
-        self.twist = twist
+        self.twist = model.n
         self.mult = mult
         self.mult_label = mult_label
-        self.levels = levels
-        self.model = _model(twist, levels)
+        self.levels = model.levels
+        self.model = model
         self.zero_multiplication = part == "w"
         bid = _O_BASE[ext]
         if part == "w":
@@ -147,16 +145,6 @@ def _mult_tensor(lx, ly):
     return None
 
 
-_TARGET_LABEL = {
-    # (ext_t, hom_t) -> expected multiplicity label of the target block
-    (0, 0): "scalar",
-    (1, 0): None,   # filled per complex kind below
-    (2, 0): None,
-    (1, -1): "wplus",
-    (2, -1): "wminus",
-}
-
-
 class GComplex:
     """The truncated complex with its differentials, trace and products."""
 
@@ -168,23 +156,37 @@ class GComplex:
         self.grid = grid if grid is not None else SphereGrid(48, 96)
         if extended and truncation < 5:
             raise ValueError("the extended complex needs truncation >= 5")
+        # line bundle models by (twist, levels); the extended complex
+        # shares them with its quotient, which sees the same grid
+        if extended:
+            self.quotient = GComplex(truncation, extended=False,
+                                     grid=self.grid)
+            self.models = self.quotient.models
+        else:
+            self.models = {}
         self.blocks = []
         for part in ("w", "o"):
             base = -4 if part == "w" else 0
             for ext, hom, dt, mult, label in _block_specs(extended):
-                levels = self._levels(part, ext, hom)
-                self.blocks.append(GBlock(part, ext, hom, base + dt, mult,
-                                          label, levels))
+                model = self._model(base + dt, self._levels(part, ext, hom))
+                self.blocks.append(GBlock(part, ext, hom, model, mult, label))
         self._layout()
+        self.trace_block = self._find_block(ext=2, hom=0, part="w")
+        self.trace_weights = 2.0j * self.grid.w / self.grid.D ** 2
         self._build_linear_maps()
         self._check_layout()
-        self._pair_cache = {}
+        self._build_wiring()
+        self._fun_cache = {}
         self._pairing = None
         if extended:
-            self.quotient = GComplex(truncation, extended=False,
-                                     grid=self.grid)
             self._build_iota()
             self._build_eps()
+
+    def _model(self, n, levels):
+        key = (n, levels)
+        if key not in self.models:
+            self.models[key] = build_model(n, levels)
+        return self.models[key]
 
     def _levels(self, part, ext, hom):
         L = self.truncation
@@ -255,11 +257,11 @@ class GComplex:
             self.harmonic_basis[idx, a] = 1.0
         # trace: integral of the ideal-side top form component
         self.trace_vector = np.zeros(n, dtype=complex)
-        bi = self._find_block(ext=2, hom=0, part="w")
-        b = self.blocks[bi]
+        b = self.blocks[self.trace_block]
         vals, _ = b.model.grid_data(self.grid, 1)
-        weights = 2.0j * (vals * (self.grid.w / self.grid.D ** 2)).sum(axis=1)
-        self.trace_vector[self.block_slice(bi, 1)] = np.tile(weights, b.mult)
+        weights = (vals * self.trace_weights).sum(axis=1)
+        self.trace_vector[self.block_slice(self.trace_block, 1)] = np.tile(
+            weights, b.mult)
 
     def _find_block(self, ext, hom, part):
         for bi, b in enumerate(self.blocks):
@@ -272,40 +274,57 @@ class GComplex:
 
     # -- products ---------------------------------------------------------
 
-    def _target_block(self, bx, by):
-        """Target block of a pair, or None when the product vanishes."""
-        x, y = self.blocks[bx], self.blocks[by]
-        if x.part == "w" and y.part == "w":
-            return None
-        ext, hom = x.ext + y.ext, x.hom + y.hom
-        if ext > 2 or hom < -1:
-            return None
-        part = "w" if "w" in (x.part, y.part) else "o"
-        try:
-            return self._find_block(ext, hom, part)
-        except KeyError:
-            return None
+    def _build_wiring(self):
+        """The product wiring table: which block pieces multiply, and how.
 
-    def _sign(self, bx, qx, by, qy):
-        # Koszul factor from moving the second factor's antiholomorphic
-        # frame past the first factor's generator content, plus the first
-        # factor's suspension crossing the second factor; together with the
-        # column sign inside d_iota this is the convention under which the
-        # product is graded commutative and both differentials are left
-        # derivations (fitted once against direct expansions, then frozen).
-        x, y = self.blocks[bx], self.blocks[by]
-        hx = 1 if x.hom == -1 else 0
-        expo = hx * (y.ext + qy) + qy * x.ext
-        return -1.0 if expo % 2 else 1.0
+        One term (bx, qx, by, qy, bt, qt, sign, mt) for every pair of
+        pieces with a nonzero product: piece (bx, qx) times piece (by, qy)
+        lands in piece (bt, qt) with the Koszul sign and the multiplicity
+        tensor mt of shape (mult_x, mult_y, mult_t).  Function tensors are
+        not held here; _fun_tensor builds them on first use.
+        """
+        self.wiring = []
+        for bx, x in enumerate(self.blocks):
+            for qx in (0, 1):
+                for by, y in enumerate(self.blocks):
+                    if x.part == "w" and y.part == "w":
+                        continue
+                    part = "w" if "w" in (x.part, y.part) else "o"
+                    try:
+                        bt = self._find_block(x.ext + y.ext, x.hom + y.hom,
+                                              part)
+                    except KeyError:
+                        continue
+                    mt = _mult_tensor(x.mult_label, y.mult_label)
+                    if mt is None:
+                        continue
+                    if mt.shape[2] != self.blocks[bt].mult:
+                        raise RuntimeError("multiplicity wiring error")
+                    # Koszul factor from moving the second factor's
+                    # antiholomorphic frame past the first factor's
+                    # generator content, plus the first factor's suspension
+                    # crossing the second factor; together with the column
+                    # sign inside d_iota this is the convention under which
+                    # the product is graded commutative and both
+                    # differentials are left derivations (fitted once
+                    # against direct expansions, then frozen).
+                    hx = 1 if x.hom == -1 else 0
+                    for qy in range(2 - qx):    # two (0,1)-forms: zero
+                        expo = hx * (y.ext + qy) + qy * x.ext
+                        sign = -1.0 if expo % 2 else 1.0
+                        self.wiring.append((bx, qx, by, qy, bt, qx + qy,
+                                            sign, mt))
 
-    def _fun_tensor(self, bx, qx, by, qy, bt, qt):
+    def _fun_tensor(self, term):
+        """Grid products of a term's basis functions, projected onto the
+        target basis: shape (nfun_x, nfun_y, nfun_t)."""
+        bx, qx, by, qy, bt, qt = term[:6]
         mx = self.blocks[bx].model
         my = self.blocks[by].model
         mt = self.blocks[bt].model
-        key = ("F", mx.n, mx.levels, qx, my.n, my.levels, qy,
-               mt.n, mt.levels, qt)
-        if key in self._pair_cache:
-            return self._pair_cache[key]
+        key = (mx.n, mx.levels, qx, my.n, my.levels, qy, mt.n, mt.levels, qt)
+        if key in self._fun_cache:
+            return self._fun_cache[key]
         vx, _ = mx.grid_data(self.grid, qx)
         vy, _ = my.grid_data(self.grid, qy)
         vt, wfac = mt.grid_data(self.grid, qt)
@@ -314,27 +333,13 @@ class GComplex:
                        dtype=complex)
         for t in range(vt.shape[0]):
             out[:, :, t] = (vx * wt[t]) @ vy.T
-        self._pair_cache[key] = out
+        self._fun_cache[key] = out
         return out
 
-    def _pair_terms(self, bx, qx, by, qy):
-        """List of (target block, qt, sign, mult tensor, fun tensor)."""
-        key = ("T", bx, qx, by, qy)
-        if key in self._pair_cache:
-            return self._pair_cache[key]
-        out = []
-        qt = qx + qy
-        bt = self._target_block(bx, by)
-        if qt <= 1 and bt is not None:
-            mt = _mult_tensor(self.blocks[bx].mult_label,
-                              self.blocks[by].mult_label)
-            if mt is not None:
-                if mt.shape[2] != self.blocks[bt].mult:
-                    raise RuntimeError("multiplicity wiring error")
-                F = self._fun_tensor(bx, qx, by, qy, bt, qt)
-                out.append((bt, qt, self._sign(bx, qx, by, qy), mt, F))
-        self._pair_cache[key] = out
-        return out
+    def _rows(self, X, bi, q):
+        """Rows of a stack on one block piece, shaped (rows, mult, nfun)."""
+        return X[:, self.block_slice(bi, q)].reshape(
+            X.shape[0], self.blocks[bi].mult, -1)
 
     def product_apply(self, x, y):
         """Pointwise product of two full vectors, projected to the complex.
@@ -344,30 +349,14 @@ class GComplex:
         """
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
-        matrix = x.ndim == 3
-        out = np.zeros((self.dim,) + x.shape[1:], dtype=complex)
-        for bx in range(len(self.blocks)):
-            for qx in (0, 1):
-                xs = self.piece(x, bx, qx)
-                if not np.any(xs):
-                    continue
-                for by in range(len(self.blocks)):
-                    for qy in (0, 1):
-                        ys = self.piece(y, by, qy)
-                        if not np.any(ys):
-                            continue
-                        for bt, qt, sgn, mt, F in self._pair_terms(
-                                bx, qx, by, qy):
-                            if matrix:
-                                t1 = np.einsum("xyt,mxpq->mytpq", F, xs)
-                                t2 = np.einsum("mytpq,nyqr->mntpr", t1, ys)
-                                z = np.einsum("mnc,mntpr->ctpr", mt, t2)
-                            else:
-                                t1 = np.einsum("xyt,mx->myt", F, xs)
-                                t2 = np.einsum("myt,ny->mnt", t1, ys)
-                                z = np.einsum("mnc,mnt->ct", mt, t2)
-                            tgt = self.piece(out, bt, qt)
-                            tgt += sgn * z
+        if x.ndim == 1:
+            return self.product_batch(x[None], y[None])[0, 0]
+        # (x y)[:, p, r] sums, over the inner index q, the batch of rows
+        # x[:, p, q] times rows y[:, q, r]
+        out = np.zeros(x.shape, dtype=complex)
+        for q in range(x.shape[-1]):
+            z = self.product_batch(x[:, :, q].T, y[:, q, :].T)
+            out += np.moveaxis(z, 2, 0)
         return out
 
     def product_batch(self, X, Y):
@@ -375,27 +364,16 @@ class GComplex:
         X = np.asarray(X, dtype=complex)
         Y = np.asarray(Y, dtype=complex)
         out = np.zeros((X.shape[0], Y.shape[0], self.dim), dtype=complex)
-        for bx in range(len(self.blocks)):
-            for qx in (0, 1):
-                xs = X[:, self.block_slice(bx, qx)]
-                if not np.any(xs):
-                    continue
-                mx = self.blocks[bx].mult
-                xs = xs.reshape(X.shape[0], mx, -1)
-                for by in range(len(self.blocks)):
-                    for qy in (0, 1):
-                        ys = Y[:, self.block_slice(by, qy)]
-                        if not np.any(ys):
-                            continue
-                        my = self.blocks[by].mult
-                        ys = ys.reshape(Y.shape[0], my, -1)
-                        for bt, qt, sgn, mt, F in self._pair_terms(
-                                bx, qx, by, qy):
-                            z = np.einsum("xyt,amx,bny,mnc->abct",
-                                          F, xs, ys, mt, optimize=True)
-                            seg = out[:, :, self.block_slice(bt, qt)]
-                            seg += sgn * z.reshape(z.shape[0], z.shape[1],
-                                                   -1)
+        for term in self.wiring:
+            bx, qx, by, qy, bt, qt, sgn, mt = term
+            xs = self._rows(X, bx, qx)
+            ys = self._rows(Y, by, qy)
+            if not np.any(xs) or not np.any(ys):
+                continue
+            z = np.einsum("xyt,amx,bny,mnc->abct", self._fun_tensor(term),
+                          xs, ys, mt, optimize=True)
+            seg = out[:, :, self.block_slice(bt, qt)]
+            seg += sgn * z.reshape(z.shape[0], z.shape[1], -1)
         return out
 
     def left_mult_operator(self, x):
@@ -411,29 +389,24 @@ class GComplex:
         x = np.asarray(x, dtype=complex)
         k = x.shape[-1]
         W = np.zeros((self.dim, k, self.dim, k), dtype=complex)
-        for bx in range(len(self.blocks)):
-            for qx in (0, 1):
-                xs = self.piece(x, bx, qx)
-                if not np.any(xs):
-                    continue
-                for by in range(len(self.blocks)):
-                    for qy in (0, 1):
-                        for bt, qt, sgn, mt, F in self._pair_terms(
-                                bx, qx, by, qy):
-                            nx, ny, nt = F.shape
-                            mlt = xs.shape[0]
-                            # contract the function tensor by matmul, then
-                            # wire multiplicities with a small einsum
-                            w1 = (xs.transpose(0, 2, 3, 1).reshape(-1, nx)
-                                  @ F.reshape(nx, ny * nt))
-                            w1 = w1.reshape(mlt, k, k, ny, nt)
-                            w = np.einsum("mnc,mpqyt->ctpnyq", mt, w1,
-                                          optimize=True)
-                            st = self.block_slice(bt, qt)
-                            sy = self.block_slice(by, qy)
-                            W[st, :, sy] += sgn * w.reshape(
-                                st.stop - st.start, k,
-                                sy.stop - sy.start, k)
+        for term in self.wiring:
+            bx, qx, by, qy, bt, qt, sgn, mt = term
+            xs = self.piece(x, bx, qx)
+            if not np.any(xs):
+                continue
+            F = self._fun_tensor(term)
+            nx, ny, nt = F.shape
+            mlt = xs.shape[0]
+            # contract the function tensor by matmul, then wire
+            # multiplicities with a small einsum
+            w1 = (xs.transpose(0, 2, 3, 1).reshape(-1, nx)
+                  @ F.reshape(nx, ny * nt))
+            w1 = w1.reshape(mlt, k, k, ny, nt)
+            w = np.einsum("mnc,mpqyt->ctpnyq", mt, w1, optimize=True)
+            st = self.block_slice(bt, qt)
+            sy = self.block_slice(by, qy)
+            W[st, :, sy] += sgn * w.reshape(st.stop - st.start, k,
+                                            sy.stop - sy.start, k)
         return W
 
     def product_contract(self, X, Y, R):
@@ -446,31 +419,16 @@ class GComplex:
         Y = np.asarray(Y, dtype=complex)
         R = np.asarray(R, dtype=complex)
         out = np.zeros((X.shape[0], Y.shape[0], R.shape[0]), dtype=complex)
-        for bx in range(len(self.blocks)):
-            for qx in (0, 1):
-                xs = X[:, self.block_slice(bx, qx)]
-                if not np.any(xs):
-                    continue
-                mx = self.blocks[bx].mult
-                xs = xs.reshape(X.shape[0], mx, -1)
-                for by in range(len(self.blocks)):
-                    for qy in (0, 1):
-                        ys = Y[:, self.block_slice(by, qy)]
-                        if not np.any(ys):
-                            continue
-                        my = self.blocks[by].mult
-                        ys = ys.reshape(Y.shape[0], my, -1)
-                        for bt, qt, sgn, mt, F in self._pair_terms(
-                                bx, qx, by, qy):
-                            rs = R[:, self.block_slice(bt, qt)]
-                            if not np.any(rs):
-                                continue
-                            dt = self.blocks[bt].model.dim(qt)
-                            rs = rs.reshape(R.shape[0],
-                                            self.blocks[bt].mult, dt)
-                            z = np.einsum("xyt,amx,bny,mnc,pct->abp",
-                                          F, xs, ys, mt, rs, optimize=True)
-                            out += sgn * z
+        for term in self.wiring:
+            bx, qx, by, qy, bt, qt, sgn, mt = term
+            xs = self._rows(X, bx, qx)
+            ys = self._rows(Y, by, qy)
+            rs = self._rows(R, bt, qt)
+            if not (np.any(xs) and np.any(ys) and np.any(rs)):
+                continue
+            out += sgn * np.einsum("xyt,amx,bny,mnc,pct->abp",
+                                   self._fun_tensor(term), xs, ys, mt, rs,
+                                   optimize=True)
         return out
 
     def pairing_matrix(self):
@@ -478,30 +436,14 @@ class GComplex:
         if self._pairing is not None:
             return self._pairing
         P = np.zeros((self.dim, self.dim), dtype=complex)
-        tr_weight = 2.0j * self.grid.w / self.grid.D ** 2
-        for bx in range(len(self.blocks)):
-            for by in range(len(self.blocks)):
-                bt = self._target_block(bx, by)
-                if bt is None:
-                    continue
-                t = self.blocks[bt]
-                if not (t.ext == 2 and t.hom == 0 and t.part == "w"):
-                    continue
-                mt = _mult_tensor(self.blocks[bx].mult_label,
-                                  self.blocks[by].mult_label)
-                if mt is None:
-                    continue
-                mw = mt.sum(axis=2)
-                for qx, qy in ((0, 1), (1, 0)):
-                    mx = self.blocks[bx].model
-                    my = self.blocks[by].model
-                    vx, _ = mx.grid_data(self.grid, qx)
-                    vy, _ = my.grid_data(self.grid, qy)
-                    fp = (vx * tr_weight) @ vy.T
-                    sgn = self._sign(bx, qx, by, qy)
-                    blockP = np.kron(mw, fp)
-                    P[self.block_slice(bx, qx),
-                      self.block_slice(by, qy)] += sgn * blockP
+        for bx, qx, by, qy, bt, qt, sgn, mt in self.wiring:
+            if bt != self.trace_block or qt != 1:
+                continue
+            vx, _ = self.blocks[bx].model.grid_data(self.grid, qx)
+            vy, _ = self.blocks[by].model.grid_data(self.grid, qy)
+            fp = (vx * self.trace_weights) @ vy.T
+            P[self.block_slice(bx, qx),
+              self.block_slice(by, qy)] += sgn * np.kron(mt.sum(axis=2), fp)
         self._pairing = Pairing(self.space, P, parity=3)
         return self._pairing
 

@@ -163,11 +163,6 @@ class AAlgebra:
         return self.embedding @ np.asarray(a, dtype=complex)
 
 
-def a_multiply(x, y, algebra=None):
-    alg = algebra if algebra is not None else A_ALG
-    return alg.multiply(x, y)
-
-
 A_ALG = AAlgebra()
 
 
@@ -223,16 +218,6 @@ class UAlgebra:
     def reduced_dims(self):
         red = self.space.reduced_degrees()
         return {r: int((red == r).sum()) for r in sorted(set(red.tolist()))}
-
-
-def u_multiply(x, y, algebra=None):
-    alg = algebra if algebra is not None else U_ALG
-    return alg.multiply(x, y)
-
-
-def u_trace(x, algebra=None):
-    alg = algebra if algebra is not None else U_ALG
-    return alg.trace(x)
 
 
 U_ALG = UAlgebra()

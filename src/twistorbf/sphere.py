@@ -200,9 +200,6 @@ class LineBundleModel:
 
     # -- spectral operators -----------------------------------------------
 
-    def dbar_adjoint_mat(self):
-        return self.dbar_mat.T
-
     def laplacian_mat(self, degree):
         if degree == 0:
             return self.dbar_mat.T @ self.dbar_mat
@@ -286,15 +283,7 @@ class LineBundleModel:
     def rotation_matrix(self, g, grid, degree):
         """Matrix of the g-action in the orthonormal basis."""
         v, wfac = self.grid_data(grid, degree)
-        tv = np.empty_like(v)
-        eye = np.eye(self.dim(degree))
-        a, bb = g[0, 0], g[0, 1]
-        p = np.conj(a) - np.conj(bb) * grid.z
-        absp = np.abs(p)
-        phase = (p / np.where(absp > 0, absp, 1.0)) ** (self.n if degree == 0 else self.n + 2)
-        fz = (a * grid.z + bb) / np.where(absp > 0, p, 1e-300)
-        fv = self.basis_values(fz, degree)
-        tv = phase[None, :] * fv
+        tv = self.rotate_values(g, grid.z, np.eye(self.dim(degree)), degree)
         return np.einsum("ig,g,jg->ji", tv, wfac, v.conj())
 
     # -- diagnostics -------------------------------------------------------

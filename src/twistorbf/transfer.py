@@ -344,8 +344,7 @@ class Transferred:
             chi = koszul_sign_permutation(perm, degs)
             val = self._ordered_apply(self.m[n], [xs[t] for t in perm])
             out = chi * val if out is None else out + chi * val
-        # tensor axes end with the output index (then matrix axes)
-        return np.moveaxis(out, 0, 0) if out.ndim == 1 else out
+        return out
 
 
 def transfer(con, max_arity=4, d2=None):

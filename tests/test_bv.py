@@ -178,3 +178,41 @@ def test_corrupted_differential_detected():
     out = bv.master_equation_residual(bv.BFData(G, rank=2, dbar=bad),
                                       probes=2, seed=0, check_variation=0)
     assert out["residual"] > 1e-8
+
+
+def _max_rel(got, want):
+    keys = set(got.terms) | set(want.terms)
+    ref = max(np.abs(c).max() for c in want.terms.values())
+    return max(np.abs(got.terms.get(s, 0.0) - want.terms.get(s, 0.0)).max()
+               for s in keys) / ref
+
+
+@pytest.mark.parametrize("px,py", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_gmult_matches_product_apply_on_level_zero(px, py):
+    # level-0 products stay inside the truncation, so projecting them
+    # loses nothing and both product paths must agree
+    rng = np.random.default_rng(29 + 2 * px + py)
+
+    def field(parity):
+        c = G.random_vector(rng, max_level=0, matrix_rank=2)
+        c[DATA.parity_mask != bool(parity)] = 0.0
+        return c
+
+    x, y = field(px), field(py)
+    got = DATA.gmult(DATA.field_to_grid(bv.SuperField({0: x}, px)),
+                     DATA.field_to_grid(bv.SuperField({0: y}, py)))
+    want = bv.SuperField({0: DATA.to_grid(G.product_apply(x, y))}, px + py)
+    assert _max_rel(got, want) < 1e-12
+
+
+def test_gmult_adds_up_over_single_masks():
+    rng = np.random.default_rng(31)
+    data = bv.BFData(G, rank=2, n_aux=2)
+    a = data.field_to_grid(data.random_field(rng))
+    b = data.field_to_grid(data.random_field(rng))
+    total = bv.SuperField({}, a.parity + b.parity)
+    for s, c in a.terms.items():
+        for t, e in b.terms.items():
+            total = total.plus(data.gmult(bv.SuperField({s: c}, a.parity),
+                                          bv.SuperField({t: e}, b.parity)))
+    assert _max_rel(data.gmult(a, b), total) < 1e-12

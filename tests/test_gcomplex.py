@@ -222,3 +222,30 @@ def test_bidegrees_of_blocks():
 def test_extended_needs_depth():
     with pytest.raises(ValueError):
         GComplex(4, extended=True)
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("g", [G, GE], ids=["plain", "extended"])
+def test_batch_and_contract_match_product_apply(g):
+    rng = np.random.default_rng(8)
+    X = np.stack([low_level(g, rng, 1) for _ in range(3)])
+    Y = np.stack([low_level(g, rng, 1) for _ in range(2)])
+    R = np.stack([g.random_vector(rng) for _ in range(4)])
+    batch = g.product_batch(X, Y)
+    want = np.array([[g.product_apply(x, y) for y in Y] for x in X])
+    assert _rel(batch, want) < 1e-12
+    assert _rel(g.product_contract(X, Y, R),
+                np.einsum("abi,ri->abr", batch, R)) < 1e-12
+
+
+@pytest.mark.parametrize("g", [G, GE], ids=["plain", "extended"])
+def test_left_mult_operator_matches_product_apply(g):
+    rng = np.random.default_rng(9)
+    x, y = (g.random_vector(rng, max_level=1, matrix_rank=2)
+            for _ in range(2))
+    W = g.left_mult_operator(x).reshape(2 * g.dim, 2 * g.dim)
+    got = (W @ y.reshape(2 * g.dim, 2)).reshape(y.shape)
+    assert _rel(got, g.product_apply(x, y)) < 1e-12
