@@ -5,8 +5,8 @@ grid cannot see past the singularity.  The corrected scheme splits off a
 neighborhood of the diagonal with a smooth bump and integrates it on a
 rotated polar grid centered at the target point; the polar resolution
 (n_rho, n_phi) is then the knob that controls the error.  This script
-sweeps that knob, checks the twist does not matter, and shows what
-happens if one simply excises the singular shell instead.
+sweeps that knob, checks the twist does not matter, and checks the chain
+identity with the quadrature homotopy.
 """
 
 import time
@@ -39,14 +39,6 @@ for n_rho in (6, 10, 16, 24):
 m3 = build_model(-3, levels=7)
 err, dt, _ = agreement(m3, order=24)
 print("\ntwist n = -3 at the default near grid: %.3e  (%.1fs)" % (err, dt))
-
-# excising a shell of width ~ the grid spacing drops an O(delta) piece of
-# the integral, so refining the far grid crawls at first order
-print("\nplain excision instead of the corrected near field")
-print("  order   agreement")
-for order in (16, 24, 32):
-    err, _, _ = agreement(model, order=order, mode="excision")
-    print("  %5d   %.3e" % (order, err))
 
 # the operator identity {dbar, H} = 1 - P holds for the quadrature H to
 # quadrature accuracy, tested on random coefficient vectors

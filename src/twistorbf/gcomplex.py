@@ -27,12 +27,22 @@ product path reads it: single, batched and contracted coefficient
 products, left multiplication operators, the trace pairing, and the grid
 products of the bv module.
 
+Linear operators are stored as their nonzero blocks, keyed by (target
+piece, source piece): dbar, the homotopy H and the harmonic projector P as
+one kron(I_mult, model operator) block per block piece, the insertion
+d_iota and the quotient map eps as the dense blocks of the tautological
+sequences.  The dense n x n forms (`dbar_full`, `hom_full`, `proj_full`,
+`d_iota_full`, `d_iota_signed`, `eps_matrix`) are assembled on first
+access and then cached.
+
 All caches are per-instance, the line bundle models included (an extended
 complex shares its models with its quotient), and filled lazily; instances
 are immutable after construction.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -92,6 +102,30 @@ def _block_specs(extended):
             (1, 0, 0, 4, "wpw"),
             (2, -1, -1, 2, "wminus"),
             (2, 0, 0, 3, "sym2")]
+
+
+# The maps of the tautological sequences, one entry per resolution column:
+# (map, ext, pattern).  "iota" sends the column (ext, hom -1) into
+# (ext, hom 0); "eps" sends (ext, hom 0) onto the quotient's ext block.  A
+# pattern entry (target mult, source mult, factor, negate) places the
+# projection of the source values times a grid factor; factor None is the
+# exact identity of a marker.  iota lands inside the truncation, so its
+# projections are checked for leakage; eps truncates by design.
+#   iota, ext 1:  f w -> (f, zf) w, the doublet index riding along
+#   iota, ext 2:  f E1 -> f S11 + zf S12, f E2 -> f S12 + zf S22, with the
+#                 top-degree column sign that makes the insertion a left
+#                 derivation for the product
+_RESOLUTION = (
+    ("iota", 1, [(2 * al + a, al, ("1", "z")[a], False)
+                 for al in range(2) for a in range(2)]),
+    ("iota", 2, [(0, 0, "1", True), (1, 0, "z", True),
+                 (1, 1, "1", True), (2, 1, "z", True)]),
+    ("eps", 0, [(0, 0, None, False)]),
+    ("eps", 1, [(al, 2 * al + a, ("-z", "1")[a], False)
+                for al in range(2) for a in range(2)]),
+    ("eps", 2, [(0, 0, "zz", False), (0, 1, "-z/D", False),
+                (0, 2, "1/D", False)]),
+)
 
 
 def _mult_tensor(lx, ly):
@@ -179,8 +213,7 @@ class GComplex:
         self._fun_cache = {}
         self._pairing = None
         if extended:
-            self._build_iota()
-            self._build_eps()
+            self._build_resolution_maps()
 
     def _model(self, n, levels):
         key = (n, levels)
@@ -233,35 +266,63 @@ class GComplex:
     # -- linear structure -------------------------------------------------
 
     def _build_linear_maps(self):
-        n = self.dim
-        self.dbar_full = np.zeros((n, n))
-        self.hom_full = np.zeros((n, n))
-        self.proj_full = np.zeros((n, n))
+        self.dbar_blocks, self.hom_blocks, self.proj_blocks = {}, {}, {}
         harm = []
         for bi, b in enumerate(self.blocks):
-            s0, s1 = self.block_slice(bi, 0), self.block_slice(bi, 1)
             eye = np.eye(b.mult)
-            self.dbar_full[s1, s0] = np.kron(eye, b.model.dbar_mat)
-            self.hom_full[s0, s1] = np.kron(eye, b.model.hom_mat)
-            self.proj_full[s0, s0] = np.kron(eye, b.model.proj0_mat)
-            self.proj_full[s1, s1] = np.kron(eye, b.model.proj1_mat)
+            p0, p1 = (bi, 0), (bi, 1)
+            self.dbar_blocks[(p1, p0)] = np.kron(eye, b.model.dbar_mat)
+            self.hom_blocks[(p0, p1)] = np.kron(eye, b.model.hom_mat)
+            self.proj_blocks[(p0, p0)] = np.kron(eye, b.model.proj0_mat)
+            self.proj_blocks[(p1, p1)] = np.kron(eye, b.model.proj1_mat)
             for q in (0, 1):
-                diag = np.diag(self.proj_full[self.block_slice(bi, q),
-                                              self.block_slice(bi, q)])
-                base = self.offsets[(bi, q)]
-                harm.extend(base + k for k in np.nonzero(diag > 0.5)[0])
-        self.harmonic_indices = np.array(sorted(harm), dtype=int)
+                diag = np.tile(np.diag(b.model.projector_mat(q)), b.mult)
+                harm.append(self.offsets[(bi, q)] + np.nonzero(diag > 0.5)[0])
+        self.harmonic_indices = np.concatenate(harm).astype(int)
         self.n_harmonic = len(self.harmonic_indices)
-        self.harmonic_basis = np.zeros((n, self.n_harmonic))
-        for a, idx in enumerate(self.harmonic_indices):
-            self.harmonic_basis[idx, a] = 1.0
         # trace: integral of the ideal-side top form component
-        self.trace_vector = np.zeros(n, dtype=complex)
+        self.trace_vector = np.zeros(self.dim, dtype=complex)
         b = self.blocks[self.trace_block]
         vals, _ = b.model.grid_data(self.grid, 1)
         weights = (vals * self.trace_weights).sum(axis=1)
         self.trace_vector[self.block_slice(self.trace_block, 1)] = np.tile(
             weights, b.mult)
+
+    def _dense(self, blocks, rows=None):
+        """Dense matrix of a block operator; rows index the layout of
+        `rows` (default: this complex), columns this complex."""
+        rows = self if rows is None else rows
+        out = np.zeros((rows.dim, self.dim),
+                       dtype=np.result_type(*blocks.values()))
+        for ((bt, qt), (bs, qs)), blk in blocks.items():
+            out[rows.block_slice(bt, qt), self.block_slice(bs, qs)] = blk
+        return out
+
+    @functools.cached_property
+    def dbar_full(self):
+        return self._dense(self.dbar_blocks)
+
+    @functools.cached_property
+    def hom_full(self):
+        return self._dense(self.hom_blocks)
+
+    @functools.cached_property
+    def proj_full(self):
+        return self._dense(self.proj_blocks)
+
+    @functools.cached_property
+    def d_iota_full(self):
+        return self._dense(self.iota_blocks)
+
+    @functools.cached_property
+    def d_iota_signed(self):
+        # the sign twist by form degree makes d_iota anticommute with dbar
+        return self._dense({(t, s): -blk if s[1] == 1 else blk
+                            for (t, s), blk in self.iota_blocks.items()})
+
+    @functools.cached_property
+    def eps_matrix(self):
+        return self._dense(self.eps_blocks, rows=self.quotient)
 
     def _find_block(self, ext, hom, part):
         for bi, b in enumerate(self.blocks):
@@ -449,7 +510,7 @@ class GComplex:
 
     # -- extended structure ----------------------------------------------
 
-    def _project_values(self, tgt_model, q, values, check=True):
+    def _project_values(self, tgt_model, q, values, check):
         vt, wfac = tgt_model.grid_data(self.grid, q)
         coeffs = (np.conj(vt) * wfac) @ values.T
         if check:
@@ -458,97 +519,36 @@ class GComplex:
             scale = max(np.abs(values).max(), 1.0)
             if err > 1e-9 * scale:
                 raise RuntimeError("projection leaked: %.2e" % (err / scale))
-        return coeffs.T    # (n_src, n_tgt)
+        return coeffs    # (n_tgt, n_src)
 
-    def _build_iota(self):
-        n = self.dim
-        self.d_iota_full = np.zeros((n, n), dtype=complex)
-        z = self.grid.z
-        rD = 1.0 / np.sqrt(self.grid.D)
-        for part in ("w", "o"):
-            for ext in (1, 2):
-                bs = self._find_block(ext, -1, part)
-                bt = self._find_block(ext, 0, part)
-                src, tgt = self.blocks[bs], self.blocks[bt]
+    def _build_resolution_maps(self):
+        """Blocks of d_iota and eps, built from the _RESOLUTION table."""
+        z, D = self.grid.z, self.grid.D
+        rD = 1.0 / np.sqrt(D)
+        factors = {"1": rD, "z": z * rD, "-z": -z * rD, "zz": z * z / D,
+                   "-z/D": -z / D, "1/D": 1.0 / D}
+        self.iota_blocks, self.eps_blocks = {}, {}
+        for name, ext, pattern in _RESOLUTION:
+            iota = name == "iota"
+            target = self if iota else self.quotient
+            out = self.iota_blocks if iota else self.eps_blocks
+            for part in ("w", "o"):
+                bs = self._find_block(ext, -1 if iota else 0, part)
+                bt = target._find_block(ext, 0, part)
+                src, tgt = self.blocks[bs], target.blocks[bt]
                 for q in (0, 1):
                     vs, _ = src.model.grid_data(self.grid, q)
-                    m1 = self._project_values(tgt.model, q, vs * rD)
-                    mz = self._project_values(tgt.model, q, vs * (z * rD))
                     ds, dt = src.model.dim(q), tgt.model.dim(q)
+                    coef = {f: self._project_values(tgt.model, q,
+                                                    vs * factors[f], iota)
+                            for f in {e[2] for e in pattern} - {None}}
                     blk = np.zeros((tgt.mult, dt, src.mult, ds),
                                    dtype=complex)
-                    if ext == 1:
-                        # f w -> (f, zf) w: doublet index rides along
-                        for al in range(2):
-                            blk[2 * al + 0, :, al, :] = m1.T
-                            blk[2 * al + 1, :, al, :] = mz.T
-                    else:
-                        # f E1 -> f S11 + zf S12; f E2 -> f S12 + zf S22,
-                        # with the top-degree column sign that makes the
-                        # insertion a left derivation for the product
-                        blk[0, :, 0, :] = -m1.T
-                        blk[1, :, 0, :] = -mz.T
-                        blk[1, :, 1, :] = -m1.T
-                        blk[2, :, 1, :] = -mz.T
-                    rows = self.block_slice(bt, q)
-                    cols = self.block_slice(bs, q)
-                    self.d_iota_full[rows, cols] = blk.reshape(
-                        tgt.mult * dt, src.mult * ds)
-        # the sign twist by form degree makes d_iota anticommute with dbar
-        self.d_iota_signed = self.d_iota_full.copy()
-        for bi in range(len(self.blocks)):
-            self.d_iota_signed[:, self.block_slice(bi, 1)] *= -1.0
-
-    def _build_eps(self):
-        z = self.grid.z
-        rD = 1.0 / np.sqrt(self.grid.D)
-        q_to_g = np.zeros((self.quotient.dim, self.dim), dtype=complex)
-        for part in ("w", "o"):
-            # markers map by the identity
-            bs = self._find_block(0, 0, part)
-            bq = self.quotient._find_block(0, 0, part)
-            for q in (0, 1):
-                r = self.quotient.block_slice(bq, q)
-                c = self.block_slice(bs, q)
-                q_to_g[r, c] = np.eye(self.blocks[bs].dim(q))
-            for ext in (1, 2):
-                bs = self._find_block(ext, 0, part)
-                bq = self.quotient._find_block(ext, 0, part)
-                src = self.blocks[bs]
-                tgt = self.quotient.blocks[bq]
-                for q in (0, 1):
-                    vs, _ = src.model.grid_data(self.grid, q)
-                    ds = src.model.dim(q)
-                    dt = tgt.model.dim(q)
-                    blk = np.zeros((tgt.mult, dt, src.mult, ds),
-                                   dtype=complex)
-                    if ext == 1:
-                        mneg = self._project_values(tgt.model, q,
-                                                    vs * (-z * rD),
-                                                    check=False)
-                        mone = self._project_values(tgt.model, q, vs * rD,
-                                                    check=False)
-                        for al in range(2):
-                            blk[al, :, 2 * al + 0, :] = mneg.T
-                            blk[al, :, 2 * al + 1, :] = mone.T
-                    else:
-                        fz2 = self._project_values(tgt.model, q,
-                                                   vs * (z * z / self.grid.D),
-                                                   check=False)
-                        fmz = self._project_values(tgt.model, q,
-                                                   vs * (-z / self.grid.D),
-                                                   check=False)
-                        f1 = self._project_values(tgt.model, q,
-                                                  vs * (1.0 / self.grid.D),
-                                                  check=False)
-                        blk[0, :, 0, :] = fz2.T
-                        blk[0, :, 1, :] = fmz.T
-                        blk[0, :, 2, :] = f1.T
-                    r = self.quotient.block_slice(bq, q)
-                    c = self.block_slice(bs, q)
-                    q_to_g[r, c] = blk.reshape(tgt.mult * dt,
-                                               src.mult * ds)
-        self.eps_matrix = q_to_g
+                    for mt, ms, f, negate in pattern:
+                        m = np.eye(ds) if f is None else coef[f]
+                        blk[mt, :, ms, :] = -m if negate else m
+                    out[((bt, q), (bs, q))] = blk.reshape(tgt.mult * dt,
+                                                          src.mult * ds)
 
     # -- reports ----------------------------------------------------------
 
@@ -572,11 +572,8 @@ class GComplex:
                 bm = self._find_block(ext, 0, part)
                 bq = self.quotient._find_block(ext, 0, part)
                 for q in (0, 1):
-                    i_blk = self.d_iota_full[self.block_slice(bm, q),
-                                             self.block_slice(bs, q)]
-                    e_blk = self.eps_matrix[
-                        self.quotient.block_slice(bq, q),
-                        self.block_slice(bm, q)]
+                    i_blk = self.iota_blocks[((bm, q), (bs, q))]
+                    e_blk = self.eps_blocks[((bq, q), (bm, q))]
                     ri = np.linalg.matrix_rank(i_blk, tol=1e-9)
                     re = np.linalg.matrix_rank(e_blk, tol=1e-9)
                     comp = np.abs(e_blk @ i_blk).max() if i_blk.size else 0.0

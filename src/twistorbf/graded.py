@@ -82,13 +82,6 @@ class BigradedSpace:
     def reduced_degrees(self):
         return np.array([d.reduced for d in self.degrees], dtype=int)
 
-    def indices_of_reduced(self, r):
-        return [i for i, d in enumerate(self.degrees) if d.reduced == r]
-
-    def indices_of(self, bidegree):
-        bd = BiDegree(*bidegree)
-        return [i for i, d in enumerate(self.degrees) if d == bd]
-
     def __repr__(self):
         return "BigradedSpace(dim=%d)" % self.dim
 

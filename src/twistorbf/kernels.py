@@ -11,10 +11,8 @@ All densities are evaluated through the bounded profiles of `sphere`, with the
 metric weights folded into the kernel factor, so nothing under the integral
 grows at infinity.
 
-Diagonal handling has two modes.  "excision" drops nodes inside a small
-spherical disk around the target and relies on the angular cancellation of the
-pole.  "corrected" (default) splits the integrand with a smooth radial bump in
-chordal distance: the far piece is flat near the pole and integrates well on
+The diagonal is handled by splitting the integrand with a smooth radial bump
+in chordal distance: the far piece is flat near the pole and integrates well on
 the global grid, while the near piece is pushed to a rotated polar grid
 centered on the target, where the pole is cancelled by the polar measure.
 Sums are plain numpy reductions (pairwise), so results are reproducible.
@@ -220,20 +218,15 @@ class KernelHomotopy:
     model.hom_mat.
     """
 
-    def __init__(self, model: LineBundleModel, order=64, mode="corrected",
-                 d_flat=0.15, d_cut=0.55, n_rho=24, n_phi=48,
-                 target_order=32, excision_delta=None):
+    def __init__(self, model: LineBundleModel, order=64, d_flat=0.15,
+                 d_cut=0.55, n_rho=24, n_phi=48, target_order=32):
         self.model = model
-        self.mode = mode
         self.far = SphereGrid(order, 2 * order)
         self.targets = SphereGrid(target_order, 2 * target_order)
         self.d_flat = d_flat
         self.d_cut = d_cut
         self.n_rho = n_rho
         self.n_phi = n_phi
-        if excision_delta is None:
-            excision_delta = 2.0 * math.pi / (2.0 * order)
-        self.excision_delta = excision_delta
         self._matrix = None
 
     # -- output values of H(basis forms) at the target points --------------
@@ -244,10 +237,7 @@ class KernelHomotopy:
         v1, _ = m.grid_data(self.far, 1)
         k = kernel_weighted(m.n, self.far.z[None, :], zt[:, None])
         d = chordal(self.far.z[None, :], zt[:, None])
-        if self.mode == "corrected":
-            cut = 1.0 - bump(d, self.d_flat, self.d_cut)
-        else:
-            cut = (d > self.excision_delta).astype(float)
+        cut = 1.0 - bump(d, self.d_flat, self.d_cut)
         k = np.where(d < 1e-14, 0.0, k) * cut
         return k @ (self.far.w[:, None] * v1.T)
 
@@ -288,10 +278,7 @@ class KernelHomotopy:
         chunk = 256
         for i0 in range(0, len(zt), chunk):
             sl = slice(i0, min(i0 + chunk, len(zt)))
-            blk = self._far_block(zt[sl])
-            if self.mode == "corrected":
-                blk = blk + self._near_block(zt[sl])
-            outvals[sl] = blk
+            outvals[sl] = self._far_block(zt[sl]) + self._near_block(zt[sl])
         v0, wfac = m.grid_data(self.targets, 0)
         self._matrix = v0.conj() @ (wfac[:, None] * outvals)
         return self._matrix

@@ -79,11 +79,6 @@ class ExteriorAlgebra4:
     def star(self, x):
         return self.star_matrix @ np.asarray(x)
 
-    def degree_component(self, x, k):
-        out = np.array(x, dtype=complex)
-        out[self.form_degree != k] = 0.0
-        return out
-
 
 EXT4 = ExteriorAlgebra4()
 
@@ -133,7 +128,6 @@ class AAlgebra:
             emb[SUB_INDEX[(mu + 1,)], 1 + mu] = 1.0
         for i, f in enumerate(LAMBDA2_MINUS):
             emb[:, 5 + i] = f
-        self.embedding = emb
         proj = np.zeros((8, 16), dtype=complex)
         proj[0, SUB_INDEX[()]] = 1.0
         for mu in range(4):
@@ -158,9 +152,6 @@ class AAlgebra:
 
     def from_form(self, x):
         return self.projection @ np.asarray(x, dtype=complex)
-
-    def to_form(self, a):
-        return self.embedding @ np.asarray(a, dtype=complex)
 
 
 A_ALG = AAlgebra()

@@ -73,15 +73,6 @@ def harmonic_forms(n):
     return out
 
 
-def su2_sample(rng):
-    """Haar-ish random SU(2) matrix [[a, b], [-conj(b), conj(a)]]."""
-    v = rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    a = v[0] + 1j * v[1]
-    b = v[2] + 1j * v[3]
-    return np.array([[a, b], [-np.conj(b), np.conj(a)]])
-
-
 class LineBundleModel:
     """Truncated spectral Dolbeault complex of O(n), `levels` section levels."""
 

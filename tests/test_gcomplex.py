@@ -249,3 +249,38 @@ def test_left_mult_operator_matches_product_apply(g):
     W = g.left_mult_operator(x).reshape(2 * g.dim, 2 * g.dim)
     got = (W @ y.reshape(2 * g.dim, 2)).reshape(y.shape)
     assert _rel(got, g.product_apply(x, y)) < 1e-12
+
+
+DENSE = ("dbar_full", "hom_full", "proj_full", "d_iota_full",
+         "d_iota_signed", "eps_matrix")
+
+
+def test_dense_maps_are_the_report_blocks():
+    # the dense forms hold exactly the blocks exactness_report reads
+    for blocks, dense, rows in ((GE.iota_blocks, GE.d_iota_full, GE),
+                                (GE.eps_blocks, GE.eps_matrix, GE.quotient)):
+        rest = dense.copy()
+        for ((bt, qt), (bs, qs)), blk in blocks.items():
+            r, c = rows.block_slice(bt, qt), GE.block_slice(bs, qs)
+            assert np.array_equal(dense[r, c], blk)
+            rest[r, c] = 0.0
+        assert not np.any(rest)
+
+
+def test_signed_insertion_negates_form_columns():
+    s = np.ones(GE.dim)
+    for bi in range(len(GE.blocks)):
+        s[GE.block_slice(bi, 1)] = -1.0
+    assert np.array_equal(GE.d_iota_signed, GE.d_iota_full * s)
+
+
+def test_dense_maps_are_cached():
+    for name in DENSE:
+        assert getattr(GE, name) is getattr(GE, name)
+
+
+def test_exactness_report_builds_no_dense_map():
+    g = GComplex(6, extended=True)
+    g.exactness_report()
+    assert not set(DENSE) & set(vars(g))
+    assert not set(DENSE) & set(vars(g.quotient))

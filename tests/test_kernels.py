@@ -162,15 +162,6 @@ def test_quadrature_zero_in_zero_out():
     assert np.abs(hq.apply(np.zeros(m.dim1))).max() == 0.0
 
 
-def test_excision_mode_runs_but_is_cruder():
-    m, hq = _hq(0)
-    he = KernelHomotopy(m, order=32, target_order=24, mode="excision")
-    err_e, _ = operator_agreement(m, he, 5)
-    err_c, _ = operator_agreement(m, hq, 5)
-    assert np.all(np.isfinite(he.matrix()))
-    assert err_c < err_e
-
-
 def test_chordal_distance_range():
     assert chordal(0.0, np.array([1e8])) == pytest.approx(1.0, abs=1e-6)
     assert chordal(0.3 + 0.1j, 0.3 + 0.1j) == 0.0

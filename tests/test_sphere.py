@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twistorbf.kernels import Mobius
 from twistorbf.radial import SphereGrid
 from twistorbf.sphere import (
     LineBundleModel,
@@ -9,7 +10,6 @@ from twistorbf.sphere import (
     harmonic_forms,
     level_sections,
     section_inner,
-    su2_sample,
 )
 
 GRID = SphereGrid(n_radial=48, n_theta=96)
@@ -109,7 +109,7 @@ def test_rotation_preserves_inner_products():
                 continue
             c1 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             c2 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            g = su2_sample(rng)
+            g = Mobius.random(rng).matrix()
             v1 = m.rotate_values(g, GRID.z, c1, degree)
             v2 = m.rotate_values(g, GRID.z, c2, degree)
             before = m.grid_inner(m.values(c1, GRID.z, degree),
@@ -121,7 +121,7 @@ def test_rotation_preserves_inner_products():
 def test_rotation_matrix_is_unitary_and_respects_identity():
     rng = np.random.default_rng(5)
     m = build_model(-2, levels=3)
-    g = su2_sample(rng)
+    g = Mobius.random(rng).matrix()
     for degree in (0, 1):
         u = m.rotation_matrix(g, GRID, degree)
         d = m.dim(degree)
@@ -184,7 +184,7 @@ def test_rotation_matrix_block_diagonal_per_level():
     rng = np.random.default_rng(31)
     for n in (-3, 2):
         m = build_model(n, levels=4)
-        g = su2_sample(rng)
+        g = Mobius.random(rng).matrix()
         u0 = m.rotation_matrix(g, GRID, 0)
         lv = m.level0
         off = u0[lv[:, None] != lv[None, :]]
