@@ -35,6 +35,15 @@ of through projected function tensors).
 Auxiliary generators are kept as bit masks; moving a generator past a
 coefficient of odd internal parity costs a sign, and merging two masks
 costs the usual interleaving sign.
+
+Grid samples keep the grid axis last, so every product is elementwise
+over the grid.  `gmult` multiplies two pieces as k broadcast
+multiply-adds over the (masks x masks) pairs of one pair of internal
+parities, and folds the mask pairs into their merged masks with one
+matrix product against a signed merge table C[target, (a, b)]: the
+interleaving and Koszul signs above, zero where the masks overlap.
+`pair` contracts tr(X Y) as one matrix product per multiplicity entry
+and merges masks with the same table.
 """
 
 import numpy as np
@@ -72,6 +81,43 @@ def _term_sign(s, t, parity_y):
     return sign
 
 
+def _by_parity(f):
+    """Sorted masks of a field, split by the internal parity of their
+    coefficients."""
+    out = ([], [])
+    for s in sorted(f.terms):
+        out[(f.parity + _popcount(s)) % 2].append(s)
+    return out
+
+
+def _merge_tables(x, y):
+    """Signed merge tables of the mask pairs of two fields.
+
+    Keyed by the internal parities (px, py) of the coefficients, each
+    entry is (mx, my, targets, C): the masks of x and of y with those
+    parities, the masks their disjoint pairs merge into, and
+    C[r, a * len(my) + b], the sign with which the product of masks
+    (mx[a], my[b]) enters targets[r] (zero when the masks overlap).
+    """
+    xs, ys = _by_parity(x), _by_parity(y)
+    tables = {}
+    for px in (0, 1):
+        for py in (0, 1):
+            mx, my = xs[px], ys[py]
+            rows, entries = {}, []
+            for a, s in enumerate(mx):
+                for b, t in enumerate(my):
+                    if not s & t:
+                        r = rows.setdefault(s | t, len(rows))
+                        entries.append((r, a * len(my) + b,
+                                        _term_sign(s, t, y.parity)))
+            merge = np.zeros((len(rows), len(mx) * len(my)))
+            for r, col, sg in entries:
+                merge[r, col] = sg
+            tables[(px, py)] = (mx, my, list(rows), merge)
+    return tables
+
+
 class SuperField(object):
     """Element of the complex with odd auxiliary coefficients.
 
@@ -79,7 +125,10 @@ class SuperField(object):
     the total degree mod 2, so the coefficient at mask S carries internal
     parity (parity + |S|) mod 2.  The same container holds truncation
     coefficients of shape (dim, k, k) and grid samples of shape
-    (gdim, k, k).
+    (k, k, gdim).  The grid axis of the samples comes last and runs over
+    the block pieces in layout order, each piece laid out (mult, grid),
+    so a piece of a stack of masks is a view shaped
+    (masks, k, k, mult, grid).
     """
 
     __slots__ = ("terms", "parity")
@@ -126,7 +175,7 @@ class BFData(object):
         if pairing is None:
             pairing = source.pairing_matrix().matrix
         self.pairing = np.asarray(pairing, dtype=complex)
-        svals = np.linalg.svd(self.pairing, compute_uv=False)
+        svals = self._pairing_singular_values()
         if svals.size == 0 or svals[0] == 0 or svals[-1] <= tol * svals[0]:
             raise ValueError(
                 "degenerate trace pairing: smallest singular value %.3e "
@@ -137,6 +186,34 @@ class BFData(object):
         red = source.space.reduced_degrees()
         self.parity_mask = (np.asarray(red) % 2).astype(bool)
         self._build_grid_tables()
+
+    def _pairing_singular_values(self):
+        """Singular values of the pairing, largest first, as a dense SVD
+        gives them, computed per connected component of its nonzero
+        block pattern over the block pieces.  Rows and columns no block
+        reaches, and the excess of a non-square component, add zeros."""
+        P = self.pairing
+        pieces = [np.arange(self.dim)[self.g.block_slice(bi, q)]
+                  for bi in range(len(self.g.blocks)) for q in (0, 1)]
+        nz = np.array([[np.any(P[np.ix_(r, c)]) for c in pieces]
+                       for r in pieces], dtype=int)
+        # row pieces linked through shared column pieces, closed
+        link = np.eye(len(pieces), dtype=int) + nz @ nz.T > 0
+        while True:
+            wider = link.astype(int) @ link > 0
+            if (wider == link).all():
+                break
+            link = wider
+        svals = []
+        for rows in {tuple(np.nonzero(r)[0]) for r in link}:
+            cols = np.nonzero(nz[list(rows)].any(axis=0))[0]
+            if cols.size:
+                ri = np.concatenate([pieces[i] for i in rows])
+                ci = np.concatenate([pieces[i] for i in cols])
+                svals.append(np.linalg.svd(P[np.ix_(ri, ci)],
+                                           compute_uv=False))
+        zeros = np.zeros(self.dim - sum(v.size for v in svals))
+        return np.sort(np.concatenate(svals + [zeros]))[::-1]
 
     def _build_grid_tables(self):
         g = self.g
@@ -153,9 +230,21 @@ class BFData(object):
         self.gdim = pos
         self._ngrid = grid.w.size
         red = np.asarray(g.space.reduced_degrees())
-        self._piece_parity = {
-            (bi, q): int(red[g.block_slice(bi, q).start]) % 2
-            for bi in range(len(g.blocks)) for q in (0, 1)}
+        parity = {(bi, q): int(red[g.block_slice(bi, q).start]) % 2
+                  for bi in range(len(g.blocks)) for q in (0, 1)}
+        # gmult terms grouped by (piece parities, target piece, target
+        # multiplicity index): a group shares one merge table and one slot
+        self._gmult_groups = {}
+        for bx, qx, by, qy, bt, qt, sgn, mt in g.wiring:
+            cls = (parity[(bx, qx)], parity[(by, qy)])
+            for m, n, c in zip(*np.nonzero(mt)):
+                self._gmult_groups.setdefault((cls, bt, qt, c), []).append(
+                    (bx, qx, m, by, qy, n, sgn * mt[m, n, c]))
+        self._trace_terms = [
+            (parity[(bx, qx)], parity[(by, qy)], bx, qx, by, qy,
+             sgn * mt.sum(axis=2))
+            for bx, qx, by, qy, bt, qt, sgn, mt in g.wiring
+            if bt == g.trace_block and qt == 1]
 
     # -- field sampling ---------------------------------------------------
 
@@ -192,11 +281,13 @@ class BFData(object):
 
     # -- grid representation ----------------------------------------------
 
-    def gpiece(self, gc, bi, q):
-        b = self.g.blocks[bi]
-        start = self._goffsets[(bi, q)]
-        seg = gc[start:start + b.mult * self._ngrid]
-        return seg.reshape((b.mult, self._ngrid) + gc.shape[1:])
+    def _piece(self, samples, bi, q):
+        """View of grid samples (..., gdim) on one block piece, shaped
+        (..., mult, grid)."""
+        st = self._goffsets[(bi, q)]
+        mult = self.g.blocks[bi].mult
+        return samples[..., st:st + mult * self._ngrid].reshape(
+            samples.shape[:-1] + (mult, self._ngrid))
 
     def to_grid(self, c):
         """Sample a coefficient vector on the quadrature grid."""
@@ -204,21 +295,18 @@ class BFData(object):
         return self._stack_to_grid(c[None])[0]
 
     def _stack_to_grid(self, cs):
-        """(A, dim, k, k) coefficient stack -> (A, gdim, k, k) samples."""
+        """(A, dim, k, k) coefficient stack -> (A, k, k, gdim) samples."""
         a, k = cs.shape[0], cs.shape[-1]
-        out = np.zeros((a, self.gdim, k, k), dtype=complex)
+        out = np.empty((a, k, k, self.gdim), dtype=complex)
         for bi, b in enumerate(self.g.blocks):
             for q in (0, 1):
-                sl = self.g.block_slice(bi, q)
-                seg = cs[:, sl].reshape(a, b.mult, -1, k, k)
                 vals = self._gvals[(bi, q)]
-                z = np.moveaxis(seg, 2, -1).reshape(-1, vals.shape[0]) \
+                seg = cs[:, self.g.block_slice(bi, q)].reshape(
+                    a, b.mult, vals.shape[0], k, k)
+                z = seg.transpose(0, 3, 4, 1, 2).reshape(-1, vals.shape[0]) \
                     @ vals
-                z = np.moveaxis(
-                    z.reshape(a, b.mult, k, k, self._ngrid), -1, 2)
-                st = self._goffsets[(bi, q)]
-                out[:, st:st + b.mult * self._ngrid] = z.reshape(
-                    a, -1, k, k)
+                self._piece(out, bi, q)[...] = z.reshape(
+                    a, k, k, b.mult, self._ngrid)
         return out
 
     def field_to_grid(self, x):
@@ -226,75 +314,34 @@ class BFData(object):
         gs = self._stack_to_grid(np.stack([x.terms[s] for s in masks]))
         return SuperField(dict(zip(masks, gs)), x.parity)
 
-    def _mask_tables(self, x, y):
-        mx = sorted(x.terms)
-        my = sorted(y.terms)
-        sgn = np.zeros((len(mx), len(my)))
-        tgt = {}
-        for a, s in enumerate(mx):
-            for b, t in enumerate(my):
-                if s & t:
-                    continue
-                sgn[a, b] = _term_sign(s, t, y.parity)
-                tgt.setdefault(s | t, []).append((a, b))
-        return mx, my, sgn, tgt
-
-    def _gpiece_stack(self, stacked, bi, q):
-        b = self.g.blocks[bi]
-        start = self._goffsets[(bi, q)]
-        seg = stacked[:, start:start + b.mult * self._ngrid]
-        return seg.reshape(
-            (stacked.shape[0], b.mult, self._ngrid) + stacked.shape[2:])
-
-    def _mask_split(self, masks, parity):
-        """Mask positions by internal parity of their coefficients."""
-        out = {0: [], 1: []}
-        for i, s in enumerate(masks):
-            out[(parity + _popcount(s)) % 2].append(i)
-        return out
-
     def gmult(self, x, y):
         """Pointwise product of grid fields; exact, associative."""
-        mx, my, sgn, tgt = self._mask_tables(x, y)
-        k = self.rank
-        xs = np.stack([x.terms[s] for s in mx])
-        ys = np.stack([y.terms[t] for t in my])
-        xsplit = self._mask_split(mx, x.parity)
-        ysplit = self._mask_split(my, y.parity)
-        acc = {s: np.zeros((self.gdim, k, k), dtype=complex) for s in tgt}
-        for bx, qx, by, qy, bt, qt, psgn, mt in self.g.wiring:
-            ia = xsplit[self._piece_parity[(bx, qx)]]
-            ib = ysplit[self._piece_parity[(by, qy)]]
-            if not ia or not ib:
+        tables = _merge_tables(x, y)
+        targets = sorted({s for _, _, ts, _ in tables.values() for s in ts})
+        row = {s: r for r, s in enumerate(targets)}
+        k, ng = self.rank, self._ngrid
+        # each field once, stacked by internal parity of its coefficients
+        xs = {p: np.stack([x.terms[s] for s in ms])
+              for p, ms in enumerate(_by_parity(x)) if ms}
+        ys = {p: np.stack([y.terms[t] for t in ms])
+              for p, ms in enumerate(_by_parity(y)) if ms}
+        acc = np.zeros((len(targets), k, k, self.gdim), dtype=complex)
+        for ((px, py), bt, qt, c), terms in self._gmult_groups.items():
+            mx, my, ts, merge = tables[(px, py)]
+            if not ts:
                 continue
-            xp = self._gpiece_stack(xs[ia], bx, qx)
-            yp = self._gpiece_stack(ys[ib], by, qy)
-            apos = {a: i for i, a in enumerate(ia)}
-            bpos = {b: i for i, b in enumerate(ib)}
-            rows_by_tgt = {}
-            for s, pairs in tgt.items():
-                rows = [(apos[a], bpos[b], sgn[a, b]) for a, b in pairs
-                        if a in apos and b in bpos]
-                if rows:
-                    rows_by_tgt[s] = rows
-            if not rows_by_tgt:
-                continue
-            mm, mn, mc = mt.shape
-            for m in range(mm):
-                for n in range(mn):
-                    w = mt[m, n]
-                    if not np.any(w):
-                        continue
-                    # (A,1,g,k,k) @ (1,B,g,k,k), matrix factors in order
-                    prod = np.matmul(xp[:, None, m], yp[None, :, n])
-                    for s, rows in rows_by_tgt.items():
-                        seg = self.gpiece(acc[s], bt, qt)
-                        part = 0.0
-                        for pa, pb, sg in rows:
-                            part = part + sg * prod[pa, pb]
-                        for c in np.nonzero(w)[0]:
-                            seg[c] += (psgn * w[c]) * part
-        return SuperField(acc, x.parity + y.parity)
+            # prod[a, b, i, l, :] = sum_j x[a, i, j, :] y[b, j, l, :]
+            prod = np.zeros((len(mx), len(my), k, k, ng), dtype=complex)
+            for bx, qx, m, by, qy, n, w in terms:
+                xp = self._piece(xs[px], bx, qx)[..., m, :]
+                yp = self._piece(ys[py], by, qy)[..., n, :]
+                for j in range(k):
+                    prod += (w * xp[:, None, :, j, None]) \
+                        * yp[None, :, None, j]
+            merged = merge @ prod.reshape(merge.shape[1], -1)
+            slot = self._piece(acc, bt, qt)[..., c, :]
+            slot[[row[s] for s in ts]] += merged.reshape(len(ts), k, k, ng)
+        return SuperField(dict(zip(targets, acc)), x.parity + y.parity)
 
     def pair(self, x, y):
         """Trace of the product of two grid fields, by generator mask.
@@ -303,44 +350,34 @@ class BFData(object):
         unsigned size of the grid contributions, so residuals of
         quantities that vanish by cancellation divide by its maximum.
         """
-        mx, my, sgn, tgt = self._mask_tables(x, y)
-        vals = {s: 0.0 for s in tgt}
-        scale = {s: 0.0 for s in tgt}
+        tables = _merge_tables(x, y)
         tw = self.g.trace_weights
-        xs = np.stack([x.terms[s] for s in mx])
-        ys = np.stack([y.terms[t] for t in my])
-        xsplit = self._mask_split(mx, x.parity)
-        ysplit = self._mask_split(my, y.parity)
-        for bx, qx, by, qy, bt, qt, psgn, mt in self.g.wiring:
-            if bt != self.g.trace_block or qt != 1:
+        pairs = {}
+        for px, py, bx, qx, by, qy, w in self._trace_terms:
+            mx, my, ts, _ = tables[(px, py)]
+            if not ts:
                 continue
-            ia = xsplit[self._piece_parity[(bx, qx)]]
-            ib = ysplit[self._piece_parity[(by, qy)]]
-            if not ia or not ib:
-                continue
-            xp = self._gpiece_stack(xs[ia], bx, qx)
-            yp = self._gpiece_stack(ys[ib], by, qy)
-            na, nb = len(ia), len(ib)
-            apos = {a: i for i, a in enumerate(ia)}
-            bpos = {b: i for i, b in enumerate(ib)}
-            mt2 = mt.sum(axis=2)
-            v = np.zeros((na, nb), dtype=complex)
-            u = np.zeros((na, nb))
-            for m in range(mt2.shape[0]):
-                # tr(X Y) contracts (p, q) against (q, p)
-                xf = (xp[:, m] * tw[:, None, None]).reshape(na, -1)
-                xa = np.abs(xf)
-                for n in range(mt2.shape[1]):
-                    if mt2[m, n] == 0:
-                        continue
-                    yf = np.swapaxes(yp[:, n], 2, 3).reshape(nb, -1)
-                    v += (psgn * mt2[m, n]) * (xf @ yf.T)
-                    u += abs(mt2[m, n]) * (xa @ np.abs(yf).T)
-            for s, pairs in tgt.items():
-                for a, b in pairs:
-                    if a in apos and b in bpos:
-                        vals[s] = vals[s] + sgn[a, b] * v[apos[a], bpos[b]]
-                        scale[s] = scale[s] + u[apos[a], bpos[b]]
+            # tr(X Y) contracts X[i, j] with Y[j, i]: both are laid out
+            # (mult, i, j, grid), Y transposed while it is stacked
+            xf = (np.stack([self._piece(x.terms[s], bx, qx).transpose(
+                2, 0, 1, 3) for s in mx]) * tw).reshape(len(mx), len(w), -1)
+            yf = np.stack([self._piece(y.terms[t], by, qy).transpose(
+                2, 1, 0, 3) for t in my]).reshape(len(my), w.shape[1], -1)
+            xa, ya = np.abs(xf), np.abs(yf)
+            v, u = pairs.setdefault((px, py), (
+                np.zeros((len(mx), len(my)), complex),
+                np.zeros((len(mx), len(my)))))
+            for m, n in zip(*np.nonzero(w)):
+                v += w[m, n] * (xf[:, m] @ yf[:, n].T)
+                u += abs(w[m, n]) * (xa[:, m] @ ya[:, n].T)
+        vals = {s: 0.0 for _, _, ts, _ in tables.values() for s in ts}
+        scale = dict(vals)
+        for cls, (v, u) in pairs.items():
+            _, _, ts, merge = tables[cls]
+            for s, vs, us in zip(ts, merge @ v.ravel(),
+                                 np.abs(merge) @ u.ravel()):
+                vals[s] += vs
+                scale[s] += us
         return vals, scale
 
 

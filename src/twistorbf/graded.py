@@ -126,16 +126,6 @@ class GradedMap:
         return GradedMap(other.source, self.target, self.shift + other.shift,
                          self.matrix @ other.matrix, check=False)
 
-    def __add__(self, other):
-        if self.shift != other.shift:
-            raise ValueError("cannot add maps of different shifts")
-        return GradedMap(self.source, self.target, self.shift,
-                         self.matrix + other.matrix, check=False)
-
-    def scale(self, c):
-        return GradedMap(self.source, self.target, self.shift,
-                         c * self.matrix, check=False)
-
 
 def anticommutator(f, g):
     """fg + gf for two endomorphism-type maps with composable shifts."""

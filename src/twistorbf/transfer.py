@@ -310,25 +310,22 @@ class Transferred:
     def _ordered_apply(self, T, xs):
         # contract tensor axes with arguments in the given order; matrix
         # coefficients multiply left to right
+        xs = [np.asarray(x) for x in xs]
         cur = T
-        matrix = any(np.asarray(x).ndim > 1 for x in xs)
-        if not matrix:
+        if all(x.ndim == 1 for x in xs):
             for x in xs:
-                cur = np.einsum("a...,a->...", cur, x)
+                cur = np.tensordot(x, cur, axes=1)
             return cur
-        k = next(np.asarray(x).shape[1] for x in xs
-                 if np.asarray(x).ndim > 1)
+        k = next(x.shape[1] for x in xs if x.ndim > 1)
         eye = np.eye(k, dtype=complex)
-        first = True
-        for x in xs:
+        for i, x in enumerate(xs):
             x = np.asarray(x, dtype=complex)
             if x.ndim == 1:
-                x = np.einsum("a,pq->apq", x, eye)
-            if first:
-                cur = np.einsum("a...,aij->...ij", cur, x)
-                first = False
-            else:
-                cur = np.einsum("a...ij,ajk->...ik", cur, x)
+                x = x[:, None, None] * eye
+            # first: (a, ...) x (a, i, j) -> (..., i, j); then
+            # (a, ..., i, j) x (a, j, k) -> (..., i, k)
+            axes = ([0], [0]) if i == 0 else ([0, cur.ndim - 1], [0, 1])
+            cur = np.tensordot(cur, x, axes=axes)
         return cur
 
     def bracket(self, xs):

@@ -216,3 +216,96 @@ def test_gmult_adds_up_over_single_masks():
             total = total.plus(data.gmult(bv.SuperField({s: c}, a.parity),
                                           bv.SuperField({t: e}, b.parity)))
     assert _max_rel(data.gmult(a, b), total) < 1e-12
+
+
+G3 = GComplex(3)
+
+
+def _piece_parity(data, bi, q):
+    red = data.g.space.reduced_degrees()
+    return int(red[data.g.block_slice(bi, q).start]) % 2
+
+
+def _mask_pairs(data, x, y, bx, qx, by, qy):
+    """Disjoint mask pairs whose coefficient parities match the pieces."""
+    for s, cx in x.terms.items():
+        if (x.parity + bv._popcount(s)) % 2 != _piece_parity(data, bx, qx):
+            continue
+        for t, cy in y.terms.items():
+            if not s & t and (y.parity + bv._popcount(t)) % 2 \
+                    == _piece_parity(data, by, qy):
+                yield s, cx, t, cy
+
+
+def gmult_oracle(data, x, y):
+    """Grid product one mask pair and one grid point at a time."""
+    out = {}
+    for bx, qx, by, qy, bt, qt, sgn, mt in data.g.wiring:
+        for s, cx, t, cy in _mask_pairs(data, x, y, bx, qx, by, qy):
+            if s | t not in out:
+                out[s | t] = np.zeros_like(cx)
+            # pieces as (mult, grid, k, k): one k x k product per point
+            xp = np.moveaxis(data._piece(cx, bx, qx), (0, 1), (2, 3))
+            yp = np.moveaxis(data._piece(cy, by, qy), (0, 1), (2, 3))
+            tp = data._piece(out[s | t], bt, qt)
+            sg = sgn * bv._term_sign(s, t, y.parity)
+            for m, n, c in zip(*np.nonzero(mt)):
+                prod = np.matmul(xp[m], yp[n])
+                tp[:, :, c] += sg * mt[m, n, c] * np.moveaxis(prod, 0, -1)
+    return bv.SuperField(out, x.parity + y.parity)
+
+
+def pair_oracle(data, x, y):
+    """Trace pairing one mask pair at a time, with its unsigned scale."""
+    g = data.g
+    vals = {s | t: 0.0 for s in x.terms for t in y.terms if not s & t}
+    scale = dict(vals)
+    for bx, qx, by, qy, bt, qt, sgn, mt in g.wiring:
+        if bt != g.trace_block or qt != 1:
+            continue
+        for s, cx, t, cy in _mask_pairs(data, x, y, bx, qx, by, qy):
+            xp = data._piece(cx, bx, qx) * g.trace_weights
+            yp = data._piece(cy, by, qy)
+            sg = sgn * bv._term_sign(s, t, y.parity)
+            for (m, n), w in np.ndenumerate(mt.sum(axis=2)):
+                # tr(X Y) = sum_ij X[i, j] Y[j, i]
+                vals[s | t] += sg * w * np.einsum(
+                    "ijg,jig->", xp[:, :, m], yp[:, :, n])
+                scale[s | t] += abs(w) * np.einsum(
+                    "ijg,jig->", np.abs(xp[:, :, m]), np.abs(yp[:, :, n]))
+    return vals, scale
+
+
+def multi_mask_field(data, rng, parity):
+    """Grid field of the given parity over masks of 0, 1 and 2 generators."""
+    terms = {s: data._component(rng, (parity + bv._popcount(s)) % 2)
+             for s in (0, 1, 2, 4, 3, 6)}
+    return data.field_to_grid(bv.SuperField(terms, parity))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("px,py", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_gmult_matches_pointwise_oracle(rank, px, py):
+    rng = np.random.default_rng(37 + 4 * rank + 2 * px + py)
+    data = bv.BFData(G3, rank=rank)
+    x = multi_mask_field(data, rng, px)
+    y = multi_mask_field(data, rng, py)
+    got, want = data.gmult(x, y), gmult_oracle(data, x, y)
+    assert got.parity == want.parity
+    assert set(got.terms) == set(want.terms)
+    assert _max_rel(got, want) < 1e-13
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("px,py", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_pair_matches_mask_pair_oracle(rank, px, py):
+    rng = np.random.default_rng(41 + 4 * rank + 2 * px + py)
+    data = bv.BFData(G3, rank=rank)
+    x = multi_mask_field(data, rng, px)
+    y = multi_mask_field(data, rng, py)
+    (vals, scale), (wv, ws) = data.pair(x, y), pair_oracle(data, x, y)
+    assert set(vals) == set(wv) and set(scale) == set(ws)
+    ref = max(abs(v) for v in wv.values())
+    assert max(abs(vals[s] - wv[s]) for s in wv) < 1e-13 * ref
+    ref = max(ws.values())
+    assert max(abs(scale[s] - ws[s]) for s in ws) < 1e-13 * ref

@@ -218,3 +218,38 @@ def test_random_homogeneous_support():
     mixed[np.nonzero(TB.degrees == 1)[0][0]] = 1.0
     with pytest.raises(ValueError, match="inhomogeneous"):
         TB.element_degree(mixed)
+
+
+def _ordered_apply_oracle(T, xs):
+    """np.einsum chain: tensor axes in argument order, matrix coefficients
+    multiplied left to right, scalar arguments as multiples of 1."""
+    letters = "abcd"[:len(xs)]
+    if all(x.ndim == 1 for x in xs):
+        return np.einsum("%so,%s->o" % (letters, ",".join(letters)), T, *xs)
+    k = next(x.shape[1] for x in xs if x.ndim > 1)
+    mats = [x if x.ndim > 1 else np.einsum("a,pq->apq", x, np.eye(k))
+            for x in xs]
+    rows = "pqrst"[:len(xs) + 1]
+    ops = ",".join("%s%s%s" % (a, rows[i], rows[i + 1])
+                   for i, a in enumerate(letters))
+    return np.einsum("%so,%s->o%s%s" % (letters, ops, rows[0], rows[-1]),
+                     T, *mats)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+@pytest.mark.parametrize("kinds", ["scalar", "matrix", "mixed"])
+def test_ordered_apply_matches_einsum(arity, kinds):
+    rng = np.random.default_rng(7 * arity + len(kinds))
+    nh, k = 5, 3
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    T = cplx(*(nh,) * (arity + 1))
+    matrix = {"scalar": [False] * arity, "matrix": [True] * arity,
+              "mixed": [i % 2 == 1 for i in range(arity)]}[kinds]
+    xs = [cplx(nh, k, k) if m else cplx(nh) for m in matrix]
+    got = Transferred({}, np.zeros(nh, dtype=int), None)._ordered_apply(T, xs)
+    want = _ordered_apply_oracle(T, xs)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
