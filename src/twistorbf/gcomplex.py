@@ -18,8 +18,16 @@ These offsets are the unique choice for which the tautological inclusion
 stays inside the truncation (its components occupy neighbouring spectral
 spins) while each short sequence remains exact level by level.
 
-Products are computed on a fixed quadrature grid that is exact for the
-closed radial family, so structure constants carry only roundoff error.
+Every chart function is a radial profile times e^{i w theta}, with w its
+torus weight (`RadialFun.weight`).  Integrated over the angle, a product
+of chart functions therefore vanishes unless the weights balance, and
+otherwise leaves one radial Gauss sum.  Every integral the complex takes
+(structure constants of the product, the projections of the tautological
+maps, the trace and the pairing) is computed that way, by `_radial_sum`
+on a radial rule that is exact for the closed radial family, so they carry
+only roundoff error.  The 2-D quadrature grid (`GComplex.grid`) is kept
+for the bv module, which multiplies fields pointwise on it.
+
 The product wiring table (`GComplex.wiring`, built once per complex) is
 the one place that decides which pairs of block pieces multiply, into
 which piece, with what Koszul sign and what multiplicity tensor.  Every
@@ -47,7 +55,7 @@ import functools
 import numpy as np
 
 from .graded import BiDegree, BigradedSpace, Pairing
-from .radial import SphereGrid
+from .radial import RadialGrid, SphereGrid
 from .sphere import build_model
 
 EPS_PLUS = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -108,7 +116,7 @@ def _block_specs(extended):
 # (map, ext, pattern).  "iota" sends the column (ext, hom -1) into
 # (ext, hom 0); "eps" sends (ext, hom 0) onto the quotient's ext block.  A
 # pattern entry (target mult, source mult, factor, negate) places the
-# projection of the source values times a grid factor; factor None is the
+# projection of the source values times a radial factor; factor None is the
 # exact identity of a marker.  iota lands inside the truncation, so its
 # projections are checked for leakage; eps truncates by design.
 #   iota, ext 1:  f w -> (f, zf) w, the doublet index riding along
@@ -179,6 +187,34 @@ def _mult_tensor(lx, ly):
     return None
 
 
+def _weight_classes(weights):
+    return {w: np.nonzero(weights == w)[0] for w in np.unique(weights)}
+
+
+def _radial_sum(x, y, t, wfac):
+    """Integrals of x_i y_j conj(t_k) over the plane: shape (nx, ny, nt).
+
+    x, y and t are (profiles, torus weights) pairs, profiles shaped
+    (nfun, nodes) on a radial rule whose dx dy weights (times any metric
+    factor) are wfac.  The angular integral of e^{i (w_i + w_j - w_k)
+    theta} is 2 pi, already in wfac, when w_i + w_j = w_k and 0 otherwise,
+    so only the index triples that obey this weight rule are summed.
+    """
+    (vx, wx), (vy, wy), (vt, wt) = x, y, t
+    tc = np.conj(vt) * wfac
+    out = np.zeros((len(wx), len(wy), len(wt)), dtype=complex)
+    cls_t = _weight_classes(wt)
+    for a, ix in _weight_classes(wx).items():
+        for b, iy in _weight_classes(wy).items():
+            it = cls_t.get(a + b)
+            if it is None:
+                continue
+            p = (vx[ix, None, :] * vy[None, iy, :]).reshape(-1, tc.shape[1])
+            out[np.ix_(ix, iy, it)] = (p @ tc[it].T).reshape(
+                len(ix), len(iy), len(it))
+    return out
+
+
 class GComplex:
     """The truncated complex with its differentials, trace and products."""
 
@@ -191,13 +227,19 @@ class GComplex:
         if extended and truncation < 5:
             raise ValueError("the extended complex needs truncation >= 5")
         # line bundle models by (twist, levels); the extended complex
-        # shares them with its quotient, which sees the same grid
+        # shares them and the radial rule with its quotient, which sees the
+        # same grid, so the models' value caches serve both
         if extended:
             self.quotient = GComplex(truncation, extended=False,
                                      grid=self.grid)
             self.models = self.quotient.models
+            self.radial = self.quotient.radial
         else:
             self.models = {}
+            self.radial = RadialGrid(self.grid.n_radial)
+        # the constant function of weight 0, the y or t factor of the
+        # integrals that multiply fewer than three chart functions
+        self._unit = (np.ones((1, self.radial.n_nodes)), np.zeros(1, int))
         self.blocks = []
         for part in ("w", "o"):
             base = -4 if part == "w" else 0
@@ -207,6 +249,7 @@ class GComplex:
         self._layout()
         self.trace_block = self._find_block(ext=2, hom=0, part="w")
         self.trace_weights = 2.0j * self.grid.w / self.grid.D ** 2
+        self._radial_trace = 2.0j * self.radial.w / self.radial.D ** 2
         self._build_linear_maps()
         self._check_layout()
         self._build_wiring()
@@ -283,10 +326,18 @@ class GComplex:
         # trace: integral of the ideal-side top form component
         self.trace_vector = np.zeros(self.dim, dtype=complex)
         b = self.blocks[self.trace_block]
-        vals, _ = b.model.grid_data(self.grid, 1)
-        weights = (vals * self.trace_weights).sum(axis=1)
+        prof, _ = self._profiles(b.model, 1)
+        weights = _radial_sum(prof, self._unit, self._unit,
+                              self._radial_trace)[:, 0, 0]
         self.trace_vector[self.block_slice(self.trace_block, 1)] = np.tile(
             weights, b.mult)
+
+    def _profiles(self, model, q):
+        """(profiles, torus weights) of a model's degree-q basis on the
+        radial rule, and the rule's projection weights for degree q."""
+        vals, wfac = model.grid_data(self.radial, q)
+        weights = np.array([f.weight for f in model.funs(q)], dtype=int)
+        return (vals, weights), wfac
 
     def _dense(self, blocks, rows=None):
         """Dense matrix of a block operator; rows index the layout of
@@ -377,8 +428,8 @@ class GComplex:
                                             sign, mt))
 
     def _fun_tensor(self, term):
-        """Grid products of a term's basis functions, projected onto the
-        target basis: shape (nfun_x, nfun_y, nfun_t)."""
+        """Products of a term's basis functions, projected onto the target
+        basis: shape (nfun_x, nfun_y, nfun_t)."""
         bx, qx, by, qy, bt, qt = term[:6]
         mx = self.blocks[bx].model
         my = self.blocks[by].model
@@ -386,14 +437,10 @@ class GComplex:
         key = (mx.n, mx.levels, qx, my.n, my.levels, qy, mt.n, mt.levels, qt)
         if key in self._fun_cache:
             return self._fun_cache[key]
-        vx, _ = mx.grid_data(self.grid, qx)
-        vy, _ = my.grid_data(self.grid, qy)
-        vt, wfac = mt.grid_data(self.grid, qt)
-        wt = np.conj(vt) * wfac
-        out = np.empty((vx.shape[0], vy.shape[0], vt.shape[0]),
-                       dtype=complex)
-        for t in range(vt.shape[0]):
-            out[:, :, t] = (vx * wt[t]) @ vy.T
+        px, _ = self._profiles(mx, qx)
+        py, _ = self._profiles(my, qy)
+        pt, wfac = self._profiles(mt, qt)
+        out = _radial_sum(px, py, pt, wfac)
         self._fun_cache[key] = out
         return out
 
@@ -500,9 +547,9 @@ class GComplex:
         for bx, qx, by, qy, bt, qt, sgn, mt in self.wiring:
             if bt != self.trace_block or qt != 1:
                 continue
-            vx, _ = self.blocks[bx].model.grid_data(self.grid, qx)
-            vy, _ = self.blocks[by].model.grid_data(self.grid, qy)
-            fp = (vx * self.trace_weights) @ vy.T
+            px, _ = self._profiles(self.blocks[bx].model, qx)
+            py, _ = self._profiles(self.blocks[by].model, qy)
+            fp = _radial_sum(px, py, self._unit, self._radial_trace)[:, :, 0]
             P[self.block_slice(bx, qx),
               self.block_slice(by, qy)] += sgn * np.kron(mt.sum(axis=2), fp)
         self._pairing = Pairing(self.space, P, parity=3)
@@ -510,23 +557,30 @@ class GComplex:
 
     # -- extended structure ----------------------------------------------
 
-    def _project_values(self, tgt_model, q, values, check):
-        vt, wfac = tgt_model.grid_data(self.grid, q)
-        coeffs = (np.conj(vt) * wfac) @ values.T
+    @staticmethod
+    def _project_values(src, factor, tgt, wfac, check):
+        """Coefficients (n_tgt, n_src) of the source profiles times a
+        factor, projected onto the target basis.  With check, raise if the
+        products leave the target's span; the angular factor is unimodular,
+        so the profiles' leak is the leak on the whole plane."""
+        coeffs = _radial_sum(src, factor, tgt, wfac)[:, 0, :].T
         if check:
-            rec = coeffs.T @ vt
+            values = src[0] * factor[0]
+            rec = coeffs.T @ tgt[0]
             err = np.abs(rec - values).max()
             scale = max(np.abs(values).max(), 1.0)
             if err > 1e-9 * scale:
                 raise RuntimeError("projection leaked: %.2e" % (err / scale))
-        return coeffs    # (n_tgt, n_src)
+        return coeffs
 
     def _build_resolution_maps(self):
         """Blocks of d_iota and eps, built from the _RESOLUTION table."""
-        z, D = self.grid.z, self.grid.D
+        z, D = self.radial.z, self.radial.D
         rD = 1.0 / np.sqrt(D)
-        factors = {"1": rD, "z": z * rD, "-z": -z * rD, "zz": z * z / D,
-                   "-z/D": -z / D, "1/D": 1.0 / D}
+        # each factor as a (profile, torus weight) pair: z has weight 1
+        factors = {f: (v[None], np.array([k])) for f, v, k in (
+            ("1", rD, 0), ("z", z * rD, 1), ("-z", -z * rD, 1),
+            ("zz", z * z / D, 2), ("-z/D", -z / D, 1), ("1/D", 1.0 / D, 0))}
         self.iota_blocks, self.eps_blocks = {}, {}
         for name, ext, pattern in _RESOLUTION:
             iota = name == "iota"
@@ -537,10 +591,11 @@ class GComplex:
                 bt = target._find_block(ext, 0, part)
                 src, tgt = self.blocks[bs], target.blocks[bt]
                 for q in (0, 1):
-                    vs, _ = src.model.grid_data(self.grid, q)
+                    ps, _ = self._profiles(src.model, q)
+                    pt, wfac = self._profiles(tgt.model, q)
                     ds, dt = src.model.dim(q), tgt.model.dim(q)
-                    coef = {f: self._project_values(tgt.model, q,
-                                                    vs * factors[f], iota)
+                    coef = {f: self._project_values(ps, factors[f], pt, wfac,
+                                                    iota)
                             for f in {e[2] for e in pattern} - {None}}
                     blk = np.zeros((tgt.mult, dt, src.mult, ds),
                                    dtype=complex)

@@ -105,16 +105,12 @@ class GradedMap:
 
     def degree_violation(self):
         """Largest |entry| sitting at an incompatible bidegree pair."""
-        worst = 0.0
-        tdeg = self.target.degrees
-        sdeg = self.source.degrees
-        for j, ds in enumerate(sdeg):
-            want = ds + self.shift
-            col = self.matrix[:, j]
-            for i in np.nonzero(np.abs(col) > 0)[0]:
-                if tdeg[i] != want:
-                    worst = max(worst, abs(col[i]))
-        return worst
+        tdeg = np.array(self.target.degrees, dtype=int).reshape(-1, 2)
+        want = np.array(self.source.degrees, dtype=int).reshape(-1, 2)
+        want += self.shift
+        bad = ((tdeg[:, 0, None] != want[None, :, 0])
+               | (tdeg[:, 1, None] != want[None, :, 1]))
+        return float(np.abs(self.matrix[bad]).max(initial=0.0))
 
     def __call__(self, vec):
         return self.matrix @ vec

@@ -241,6 +241,13 @@ class RadialGrid:
     of degree <= gamma - 2 with gamma <= 2 n_nodes - 1... in practice: the
     family z^a zbar^b D^-gamma maps to polynomials of degree gamma - 2 in t,
     so n_nodes >= (gamma_max - 1) / 2 suffices.
+
+    The nodes also sit on the positive real axis as chart points `z`, with
+    weights `w = pi du` and `D = 1 + u`: the attributes a SphereGrid offers.
+    There every chart function's phase is 1, so basis values on this rule
+    are radial profiles, and the sum of w times a weight-0 profile is the
+    dx dy integral that the uniform angular rule of a SphereGrid with the
+    same radial nodes gives.
     """
 
     def __init__(self, n_nodes=48):
@@ -249,10 +256,13 @@ class RadialGrid:
         self.t = t
         self.u = (1.0 + t) / (1.0 - t)
         self.du = wt * 2.0 / (1.0 - t) ** 2
+        self.z = np.sqrt(self.u) + 0j
+        self.w = math.pi * self.du
+        self.D = 1.0 + self.u
 
     def integrate_radial(self, values):
         """pi * int values(u) du: the dx dy integral of a weight-0 profile."""
-        return math.pi * np.sum(values * self.du, axis=-1)
+        return np.sum(values * self.w, axis=-1)
 
 
 class SphereGrid:

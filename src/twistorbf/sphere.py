@@ -119,6 +119,10 @@ class LineBundleModel:
                 self.lambdas[p] = lams.mean()
                 level_imgs.append(imgs)
 
+        # weights1 is the weight of the section a form comes from: for an
+        # image form (src_level1 >= 0) that is one less than its
+        # coefficient's RadialFun.weight, for a harmonic form it is the
+        # coefficient's weight.  Angular selection rules read RadialFun.weight.
         self.funs1, self.weights1, self.src_level1 = [], [], []
         for w, f in harmonic_forms(n):
             self.funs1.append(f)
@@ -234,7 +238,8 @@ class LineBundleModel:
         return np.tensordot(np.asarray(coeffs), self.basis_values(z, degree, normalized), axes=(0, 0))
 
     def grid_data(self, grid, degree):
-        """Cached (basis values, projection weights) on a SphereGrid."""
+        """Cached (basis values, projection weights) on a SphereGrid or a
+        RadialGrid."""
         # keyed on the grid object, not id(): holding the reference keeps
         # a dead grid's id from being recycled into a stale cache hit
         key = (grid, degree)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from twistorbf.gcomplex import GComplex
+from twistorbf.gcomplex import _RESOLUTION, GComplex
 from twistorbf.graded import BiDegree
+from twistorbf.radial import SphereGrid
+from twistorbf.sphere import LineBundleModel, build_model
 
 L = 6
 G = GComplex(L, extended=False)
@@ -284,3 +286,169 @@ def test_exactness_report_builds_no_dense_map():
     g.exactness_report()
     assert not set(DENSE) & set(vars(g))
     assert not set(DENSE) & set(vars(g.quotient))
+
+
+# -- the radial weight rule against the 2-D grid -----------------------------
+#
+# The oracles below are the 2-D grid formulas the complex used before its
+# integrals became radial sums: every integral is summed over all points of
+# the complex's SphereGrid, with no selection rule.
+
+def _grid_values(model, q, grid, cache):
+    key = (id(model), q)
+    if key not in cache:
+        wfac = grid.w / grid.D ** 2 * (2.0 if q == 1 else 1.0)
+        cache[key] = (model.basis_values(grid.z, q), wfac)
+    return cache[key]
+
+
+def grid_fun_tensor(g, term, cache):
+    bx, qx, by, qy, bt, qt = term[:6]
+    vx, _ = _grid_values(g.blocks[bx].model, qx, g.grid, cache)
+    vy, _ = _grid_values(g.blocks[by].model, qy, g.grid, cache)
+    vt, wfac = _grid_values(g.blocks[bt].model, qt, g.grid, cache)
+    wt = np.conj(vt) * wfac
+    out = np.empty((len(vx), len(vy), len(vt)), dtype=complex)
+    for t in range(len(vt)):
+        out[:, :, t] = (vx * wt[t]) @ vy.T
+    return out
+
+
+def grid_trace_vector(g, cache):
+    out = np.zeros(g.dim, dtype=complex)
+    b = g.blocks[g.trace_block]
+    vals, _ = _grid_values(b.model, 1, g.grid, cache)
+    out[g.block_slice(g.trace_block, 1)] = np.tile(
+        (vals * g.trace_weights).sum(axis=1), b.mult)
+    return out
+
+
+def grid_pairing_matrix(g, cache):
+    P = np.zeros((g.dim, g.dim), dtype=complex)
+    for bx, qx, by, qy, bt, qt, sgn, mt in g.wiring:
+        if bt != g.trace_block or qt != 1:
+            continue
+        vx, _ = _grid_values(g.blocks[bx].model, qx, g.grid, cache)
+        vy, _ = _grid_values(g.blocks[by].model, qy, g.grid, cache)
+        fp = (vx * g.trace_weights) @ vy.T
+        P[g.block_slice(bx, qx),
+          g.block_slice(by, qy)] += sgn * np.kron(mt.sum(axis=2), fp)
+    return P
+
+
+def grid_resolution_blocks(g, cache):
+    z, D = g.grid.z, g.grid.D
+    rD = 1.0 / np.sqrt(D)
+    factors = {"1": rD, "z": z * rD, "-z": -z * rD, "zz": z * z / D,
+               "-z/D": -z / D, "1/D": 1.0 / D}
+    out = {"iota": {}, "eps": {}}
+    for name, ext, pattern in _RESOLUTION:
+        target = g if name == "iota" else g.quotient
+        for part in ("w", "o"):
+            bs = g._find_block(ext, -1 if name == "iota" else 0, part)
+            bt = target._find_block(ext, 0, part)
+            src, tgt = g.blocks[bs], target.blocks[bt]
+            for q in (0, 1):
+                vs, _ = _grid_values(src.model, q, g.grid, cache)
+                vt, wfac = _grid_values(tgt.model, q, g.grid, cache)
+                ds, dt = len(vs), len(vt)
+                blk = np.zeros((tgt.mult, dt, src.mult, ds), dtype=complex)
+                for mt, ms, f, negate in pattern:
+                    m = (np.eye(ds) if f is None
+                         else (np.conj(vt) * wfac) @ (vs * factors[f]).T)
+                    blk[mt, :, ms, :] = -m if negate else m
+                out[name][((bt, q), (bs, q))] = blk.reshape(tgt.mult * dt,
+                                                            src.mult * ds)
+    return out
+
+
+def _fun_key(g, term):
+    bx, qx, by, qy, bt, qt = term[:6]
+    return tuple((g.blocks[b].model.n, g.blocks[b].model.levels, q)
+                 for b, q in ((bx, qx), (by, qy), (bt, qt)))
+
+
+def _integrals(g):
+    """Every integral the complex takes, by name."""
+    out = {"trace_vector": g.trace_vector,
+           "pairing": g.pairing_matrix().matrix}
+    for term in g.wiring:
+        out[("fun",) + _fun_key(g, term)] = g._fun_tensor(term)
+    if g.extended:
+        for name, blocks in (("iota", g.iota_blocks), ("eps", g.eps_blocks)):
+            for key, blk in blocks.items():
+                out[(name, key)] = blk
+    return out
+
+
+@pytest.mark.parametrize("trunc,ext", [(5, False), (5, True), (8, True)],
+                         ids=["plain5", "extended5", "extended8"])
+def test_radial_integrals_match_grid_formulas(trunc, ext):
+    g = GComplex(trunc, extended=ext)
+    cache = {}
+    want = {"trace_vector": grid_trace_vector(g, cache),
+            "pairing": grid_pairing_matrix(g, cache)}
+    for term in g.wiring:
+        key = ("fun",) + _fun_key(g, term)
+        if key not in want:
+            want[key] = grid_fun_tensor(g, term, cache)
+    if ext:
+        for name, blocks in grid_resolution_blocks(g, cache).items():
+            for key, blk in blocks.items():
+                want[(name, key)] = blk
+    got = _integrals(g)
+    assert got.keys() == want.keys()
+    worst = max(((_rel(got[k], want[k]), k) for k in got),
+                key=lambda rk: rk[0])
+    assert worst[0] < 1e-13, worst
+
+
+def test_radial_rule_is_exact_for_the_integrands():
+    # a finer rule changes nothing beyond roundoff
+    base = _integrals(GComplex(8, extended=True))
+    fine = _integrals(GComplex(8, extended=True, grid=SphereGrid(64, 128)))
+    assert base.keys() == fine.keys()
+    assert max(_rel(fine[k], base[k]) for k in base) < 1e-12
+
+
+def test_iota_projection_guard_reports_leak():
+    # z times the top-level sections of twist -1 need one more level of
+    # twist 0 than the source has; with the same number of levels the
+    # projection leaks, and the guard names the leak's size
+    g = GComplex(5, extended=True)
+    ms, mt = build_model(-1, 5), build_model(0, 5)
+    src, _ = g._profiles(ms, 0)
+    z, D = g.radial.z, g.radial.D
+    factor = ((z / np.sqrt(D))[None], np.array([1]))
+    wide, wfac = g._profiles(build_model(0, 6), 0)
+    g._project_values(src, factor, wide, wfac, True)
+    tgt, wfac = g._profiles(mt, 0)
+    with pytest.raises(RuntimeError, match="projection leaked") as err:
+        g._project_values(src, factor, tgt, wfac, True)
+    reported = float(str(err.value).split(":")[1])
+    # the same leak measured on the 2-D grid
+    cache = {}
+    vs, _ = _grid_values(ms, 0, g.grid, cache)
+    vt, wt = _grid_values(mt, 0, g.grid, cache)
+    values = vs * g.grid.z / np.sqrt(g.grid.D)
+    rec = ((np.conj(vt) * wt) @ values.T).T @ vt
+    leak = np.abs(rec - values).max() / max(np.abs(values).max(), 1.0)
+    assert leak > 1e-3
+    assert reported == pytest.approx(leak, rel=1e-2)
+
+
+def test_complex_reads_no_values_on_its_grid(monkeypatch):
+    seen = []
+    grid_data = LineBundleModel.grid_data
+
+    def spy(self, grid, degree):
+        seen.append(type(grid).__name__)
+        return grid_data(self, grid, degree)
+
+    monkeypatch.setattr(LineBundleModel, "grid_data", spy)
+    g = GComplex(5, extended=True)
+    g.exactness_report()
+    g.pairing_matrix()
+    rng = np.random.default_rng(10)
+    g.product_apply(g.random_vector(rng), g.random_vector(rng))
+    assert seen and set(seen) == {"RadialGrid"}

@@ -96,6 +96,50 @@ def test_graded_map_degree_violation():
     assert GradedMap(space, space, (1, 0), dirty, check=False).degree_violation() == pytest.approx(1e-3)
 
 
+def degree_violation_by_columns(m):
+    # oracle: the column loop over BiDegree objects
+    worst = 0.0
+    for j, ds in enumerate(m.source.degrees):
+        want = ds + m.shift
+        col = m.matrix[:, j]
+        for i in np.nonzero(np.abs(col) > 0)[0]:
+            if m.target.degrees[i] != want:
+                worst = max(worst, abs(col[i]))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_degree_violation_matches_column_loop(seed):
+    rng = np.random.default_rng(seed)
+
+    def space(n):
+        degs = [tuple(d) for d in rng.integers(-1, 3, size=(n, 2))]
+        return BigradedSpace(["v%d" % i for i in range(n)], degs)
+
+    src, tgt = space(9), space(7)
+    shift = (1, 0)
+    tk = np.array(tgt.degrees)
+    want = np.array(src.degrees) + shift
+    k_ok = tk[:, None, 0] == want[None, :, 0]
+    l_ok = tk[:, None, 1] == want[None, :, 1]
+    mat = (rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9)))
+    mat *= k_ok & l_ok
+    m = GradedMap(src, tgt, shift, mat)
+    assert m.degree_violation() == degree_violation_by_columns(m) == 0.0
+    # plant one entry whose k matches and l does not, one the other way
+    for off in (k_ok & ~l_ok, ~k_ok & l_ok):
+        if not off.any():
+            continue
+        i, j = np.argwhere(off)[rng.integers(off.sum())]
+        planted = mat.copy()
+        planted[i, j] = 0.37 - 0.2j
+        bad = GradedMap(src, tgt, shift, planted, check=False)
+        assert bad.degree_violation() == degree_violation_by_columns(bad)
+        assert bad.degree_violation() == pytest.approx(abs(0.37 - 0.2j))
+        with pytest.raises(ValueError, match="off the declared bidegree"):
+            GradedMap(src, tgt, shift, planted)
+
+
 def test_compose_and_anticommutator_shifts():
     space, m1, m2 = _two_by_two_square()
     c = m1.compose(m2)

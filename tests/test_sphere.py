@@ -209,3 +209,13 @@ def test_grid_cache_survives_grid_turnover():
         assert v.shape[1] == g.z.size
         assert wfac.shape == g.z.shape
         del g, v, wfac
+
+
+@pytest.mark.parametrize("n", [-4, 0, 3])
+def test_weight_bookkeeping(n):
+    # weights1 records the source section's weight: an image form's
+    # coefficient (d/dzbar of the section) carries one more
+    m = build_model(n, levels=4)
+    assert [f.weight for f in m.funs0] == list(m.weights0)
+    assert ([f.weight for f in m.funs1]
+            == list(m.weights1 + (m.src_level1 >= 0)))
