@@ -2,9 +2,9 @@
 
 Every space here carries an integer bidegree (k, l) per basis vector; the
 reduced degree k - l drives all sign rules.  Maps are dense complex matrices
-together with a bidegree shift, and the helpers below (anticommutators,
-bicomplex checks, cohomology of a differential) are the workhorses for the
-sphere complexes and the homotopy transfer machinery built on top.
+together with a bidegree shift; the cohomology of a differential, with
+harmonic representatives, and the Koszul signs are what the sphere
+complexes and the homotopy transfer machinery build on.
 """
 
 from __future__ import annotations
@@ -114,32 +114,6 @@ class GradedMap:
 
     def __call__(self, vec):
         return self.matrix @ vec
-
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source:
-            raise ValueError("non-composable maps")
-        return GradedMap(other.source, self.target, self.shift + other.shift,
-                         self.matrix @ other.matrix, check=False)
-
-
-def anticommutator(f, g):
-    """fg + gf for two endomorphism-type maps with composable shifts."""
-    return GradedMap(f.source, f.target, f.shift + g.shift,
-                     f.matrix @ g.matrix + g.matrix @ f.matrix, check=False)
-
-
-def check_bicomplex(d1, d2=None):
-    """Residual norms of d1^2, d2^2 and {d1, d2}.
-
-    Returns a dict of spectral norms; all should vanish for a bicomplex.
-    """
-    out = {"d1_squared": np.linalg.norm(d1.matrix @ d1.matrix, 2)}
-    if d2 is not None:
-        out["d2_squared"] = np.linalg.norm(d2.matrix @ d2.matrix, 2)
-        out["anticommutator"] = np.linalg.norm(
-            d1.matrix @ d2.matrix + d2.matrix @ d1.matrix, 2)
-    return out
 
 
 def _rank(mat, tol=1e-10):

@@ -25,52 +25,8 @@ import math
 import numpy as np
 
 from .radial import SphereGrid, bilinear_integral
-from .sphere import LineBundleModel
-
-
-class Mobius:
-    """Unit row (a, b) acting by z -> (a z + b) / (-conj(b) z + conj(a))."""
-
-    def __init__(self, a, b):
-        a, b = complex(a), complex(b)
-        nrm = abs(a) ** 2 + abs(b) ** 2
-        if abs(nrm - 1.0) > 1e-14:
-            raise ValueError("row must be unit norm")
-        self.a, self.b = a, b
-
-    @classmethod
-    def random(cls, rng):
-        v = rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        return cls(v[0] + 1j * v[1], v[2] + 1j * v[3])
-
-    @classmethod
-    def identity(cls):
-        return cls(1.0, 0.0)
-
-    def matrix(self):
-        return np.array([[self.a, self.b],
-                         [-np.conj(self.b), np.conj(self.a)]])
-
-    def compose(self, other):
-        m = self.matrix() @ other.matrix()
-        return Mobius(m[0, 0], m[0, 1])
-
-    def apply(self, z):
-        """Chart-aware action; accepts and returns inf for the far pole."""
-        a, b = self.a, self.b
-        z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        is_inf = np.isinf(z.real) | np.isinf(z.imag)
-        zf = np.where(is_inf, 0.0, z)
-        den = -np.conj(b) * zf + np.conj(a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (a * zf + b) / den
-        out[is_inf] = a / (-np.conj(b)) if b != 0 else np.inf
-        pole = (~is_inf) & (np.abs(den) == 0.0)
-        out[pole] = np.inf
-        return out[0] if scalar else out
+# Mobius is defined with the line bundle models and re-exported here
+from .sphere import LineBundleModel, Mobius
 
 
 def kernel_h(n, z1, z2):
@@ -129,10 +85,9 @@ def kernel_hG(z1, z2):
 
 def check_invariance(n, g, z1, z2):
     """Relative residual of the transformation law
-    h(z1,z2) = P2^n / P1^(n+2) h(f z1, f z2), P = conj(a) - conj(b) z."""
+    h(z1,z2) = P2^n / P1^(n+2) h(f z1, f z2), P = g.factor(z)."""
     f1, f2 = g.apply(z1), g.apply(z2)
-    p1 = np.conj(g.a) - np.conj(g.b) * np.asarray(z1, dtype=complex)
-    p2 = np.conj(g.a) - np.conj(g.b) * np.asarray(z2, dtype=complex)
+    p1, p2 = g.factor(z1), g.factor(z2)
     lhs = kernel_h(n, z1, z2)
     rhs = p2 ** n * p1 ** (-n - 2) * kernel_h(n, f1, f2)
     return np.abs(lhs - rhs) / np.abs(lhs)
@@ -155,10 +110,12 @@ def reduction_residual(n, z1, z2, theta):
     return np.abs(lhs - rhs) / np.abs(lhs)
 
 
-def fd_dbar(fun, z, step):
+def fd_wirtinger(fun, z, step):
+    """Central-difference Wirtinger derivatives (d/dz, d/dzbar) of fun at z;
+    the error scales as step^2."""
     fx = (fun(z + step) - fun(z - step)) / (2 * step)
     fy = (fun(z + 1j * step) - fun(z - 1j * step)) / (2 * step)
-    return 0.5 * (fx + 1j * fy)
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
 def check_holomorphy(n, z1, z2, step=1e-4):
@@ -177,10 +134,7 @@ def check_holomorphy(n, z1, z2, step=1e-4):
     else:
         fun = lambda w: kernel_h(n, w, z2)
         z = z1
-    fx = (fun(z + step) - fun(z - step)) / (2 * step)
-    fy = (fun(z + 1j * step) - fun(z - 1j * step)) / (2 * step)
-    dbar = 0.5 * (fx + 1j * fy)
-    dhol = 0.5 * (fx - 1j * fy)
+    dhol, dbar = fd_wirtinger(fun, z, step)
     scale = np.maximum(np.abs(dhol), np.abs(fun(z)))
     return np.abs(dbar) / scale
 
@@ -384,14 +338,14 @@ def check_offdiag_dbar(n, z1, z2, step=1e-5):
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     if n >= -1:
-        got = fd_dbar(lambda w: kernel_h(n, w, z2), z1, step)
+        _, got = fd_wirtinger(lambda w: kernel_h(n, w, z2), z1, step)
         duals, sections = harmonic_pair_bases(n)
         pred = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
         for t, s in zip(duals, sections):
             pred = pred + t.eval(z1) * s.eval(z2)
     else:
         # h_n(z1, z2) = -h_{-2-n}(z2, z1) reduces this to the other branch
-        got = fd_dbar(lambda w: kernel_h(n, z1, w), z2, step)
+        _, got = fd_wirtinger(lambda w: kernel_h(n, z1, w), z2, step)
         duals, sections = harmonic_pair_bases(-2 - n)
         pred = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
         for t, s in zip(duals, sections):

@@ -477,6 +477,7 @@ def check_u_cohomology_iso(truncation=12, tol=1e-9):
         "product_rank": rank,
         "basis_change_residual": resid / scale if scale > 0 else resid,
         "basis_change_condition": float(svals[0] / svals[-1]),
+        "basis_change_min_singular": float(svals[-1]),
         "pass": rank == 3 and resid <= tol * max(scale, 1.0)
                 and svals[-1] > 1e-9,
     }

@@ -73,6 +73,56 @@ def harmonic_forms(n):
     return out
 
 
+class Mobius:
+    """Unit row (a, b) acting by z -> (a z + b) / (conj(a) - conj(b) z)."""
+
+    def __init__(self, a, b):
+        a, b = complex(a), complex(b)
+        nrm = abs(a) ** 2 + abs(b) ** 2
+        if abs(nrm - 1.0) > 1e-14:
+            raise ValueError("row must be unit norm")
+        self.a, self.b = a, b
+
+    @classmethod
+    def random(cls, rng):
+        v = rng.standard_normal(4)
+        v /= np.linalg.norm(v)
+        return cls(v[0] + 1j * v[1], v[2] + 1j * v[3])
+
+    @classmethod
+    def identity(cls):
+        return cls(1.0, 0.0)
+
+    def matrix(self):
+        return np.array([[self.a, self.b],
+                         [-np.conj(self.b), np.conj(self.a)]])
+
+    def compose(self, other):
+        m = self.matrix() @ other.matrix()
+        return Mobius(m[0, 0], m[0, 1])
+
+    def factor(self, z):
+        """Automorphy factor P = conj(a) - conj(b) z, the denominator."""
+        z = np.asarray(z, dtype=complex)
+        return np.conj(self.a) - np.conj(self.b) * z
+
+    def apply(self, z):
+        """Chart-aware action; accepts and returns inf for the far pole."""
+        a, b = self.a, self.b
+        z = np.asarray(z, dtype=complex)
+        scalar = z.ndim == 0
+        z = np.atleast_1d(z)
+        is_inf = np.isinf(z.real) | np.isinf(z.imag)
+        zf = np.where(is_inf, 0.0, z)
+        den = self.factor(zf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (a * zf + b) / den
+        out[is_inf] = a / (-np.conj(b)) if b != 0 else np.inf
+        pole = (~is_inf) & (np.abs(den) == 0.0)
+        out[pole] = np.inf
+        return out[0] if scalar else out
+
+
 class LineBundleModel:
     """Truncated spectral Dolbeault complex of O(n), `levels` section levels."""
 
@@ -195,17 +245,6 @@ class LineBundleModel:
 
     # -- spectral operators -----------------------------------------------
 
-    def laplacian_mat(self, degree):
-        if degree == 0:
-            return self.dbar_mat.T @ self.dbar_mat
-        return self.dbar_mat @ self.dbar_mat.T
-
-    def green_mat(self, degree):
-        lap = self.laplacian_mat(degree)
-        diag = np.diag(lap)
-        inv = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
-        return np.diag(inv)
-
     def projector_mat(self, degree):
         return self.proj0_mat if degree == 0 else self.proj1_mat
 
@@ -261,23 +300,24 @@ class LineBundleModel:
     # -- group action ------------------------------------------------------
 
     def rotate_values(self, g, z, coeffs, degree):
-        """Normalized chart values of the g-transformed section or form.
+        """Normalized chart values of the section or form moved by the
+        Mobius map g.
 
-        With P = conj(a) - conj(b) z and f(z) = (a z + b) / P, the bounded
-        profile transforms by the pure phase (P/|P|)^n for sections and
+        With P = g.factor(z) and f(z) = (a z + b) / P, the bounded profile
+        transforms by the pure phase (P/|P|)^n for sections and
         (P/|P|)^(n+2) for (0,1)-forms, so nothing blows up near the pole.
         """
-        a, b = g[0, 0], g[0, 1]
         z = np.asarray(z, dtype=complex)
-        p = np.conj(a) - np.conj(b) * z
+        p = g.factor(z)
         absp = np.abs(p)
         safe = np.where(absp > 0, absp, 1.0)
         phase = (p / safe) ** (self.n if degree == 0 else self.n + 2)
-        fz = (a * z + b) / np.where(absp > 0, p, 1e-300)
+        fz = (g.a * z + g.b) / np.where(absp > 0, p, 1e-300)
         return phase * self.values(coeffs, fz, degree)
 
     def rotation_matrix(self, g, grid, degree):
-        """Matrix of the g-action in the orthonormal basis."""
+        """Matrix of the action of the Mobius map g in the orthonormal
+        basis."""
         v, wfac = self.grid_data(grid, degree)
         tv = self.rotate_values(g, grid.z, np.eye(self.dim(degree)), degree)
         return np.einsum("ig,g,jg->ji", tv, wfac, v.conj())

@@ -9,6 +9,9 @@ marker; a tolerance override from the command line leaves those alone.
 Per-suite defaults follow the modules: spectral truncation 12, quadrature
 order 64, transfer and field-theory checks at truncation 6, matrix rank 2.
 A config field left at None means "use the suite default".
+
+The htt suite is the concatenation of four parts (`HTT_PARTS`); the
+acceptance gate calls them one by one and asserts on their records.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -119,20 +122,6 @@ def _map_ordered(fn, items, parallel):
     return [fn(x) for x in items]
 
 
-def _chain_residual_on_sections(m, rng, samples):
-    """Worst relative chain-identity residual over random total vectors."""
-    d = m.dbar_total.matrix
-    h = m.homotopy_total.matrix
-    lhs = d @ h + h @ d - (np.eye(d.shape[0]) - m.projector_total.matrix)
-    worst = 0.0
-    for _ in range(samples):
-        v = rng.standard_normal(d.shape[0]) \
-            + 1j * rng.standard_normal(d.shape[0])
-        worst = max(worst, float(np.abs(lhs @ v).max()
-                                 / max(np.abs(v).max(), 1e-30)))
-    return worst
-
-
 def suite_cohomology(cfg):
     def one(n):
         levels = max(cfg.trunc(12), abs(n) + 4)
@@ -153,7 +142,7 @@ def suite_kernel(cfg):
         m = build_model(n, max(abs(n) + 4, 8))
         out = [_check("chain-identity-spectral-n%+d" % n,
                       "homotopy-chain-identity",
-                      _chain_residual_on_sections(m, rng, 50), 1e-10)]
+                      m.chain_homotopy_residual(), 1e-10)]
         hq = KernelHomotopy(m, order=order)
         err, sign = operator_agreement(m, hq, 5)
         out.append(_check("kernel-vs-spectral-n%+d" % n,
@@ -216,24 +205,23 @@ def suite_invariance(cfg):
             for c in out]
 
 
-def suite_htt(cfg):
-    checks = []
+def htt_side_conditions(cfg):
+    """Side conditions of the contraction: the plain complex's homotopy,
+    and the homotopy against the insertion differential."""
     L = cfg.trunc(12)
-
     g = GComplex(L)
     H, Pr = g.hom_full, g.proj_full
     M = g.pairing_matrix().matrix
     sgn = np.where(g.space.reduced_degrees() % 2, -1.0, 1.0)
-    checks.append(_check("homotopy-squares-to-zero",
-                         "contraction-side-conditions",
-                         np.abs(H @ H).max(), 1e-12))
-    checks.append(_check("homotopy-orthogonal-to-harmonics",
-                         "contraction-side-conditions",
-                         np.abs(H.T @ M @ Pr).max(), 1e-12))
-    checks.append(_check("homotopy-pairing-adjointness",
-                         "contraction-side-conditions",
-                         np.abs(H.T @ M - (sgn[:, None] * M) @ H).max(),
-                         1e-12))
+    checks = [
+        _check("homotopy-squares-to-zero", "contraction-side-conditions",
+               np.abs(H @ H).max(), 1e-12),
+        _check("homotopy-orthogonal-to-harmonics",
+               "contraction-side-conditions",
+               np.abs(H.T @ M @ Pr).max(), 1e-12),
+        _check("homotopy-pairing-adjointness", "contraction-side-conditions",
+               np.abs(H.T @ M - sgn[:, None] * (M @ H)).max(), 1e-12),
+    ]
     # the plain complex is done with; at L = 12 its dense operators would
     # otherwise sit on top of the extended complex's peak below
     del g, H, Pr, M
@@ -242,15 +230,20 @@ def suite_htt(cfg):
     checks.append(_check("insertion-homotopy-nilpotent",
                          "contraction-side-conditions",
                          np.abs(HD @ HD).max(), 1e-12))
-    del HD
+    return checks
 
-    # the acceptance gate's ladder: 5..8, plus the suite truncation itself
-    ladder = list(range(5, min(L, 8) + 1)) + ([L] if L > 8 else [])
-    for trunc in ladder:
-        gt = ge if trunc == L else GComplex(trunc, extended=True)
+
+def htt_exactness(cfg):
+    """Exactness of the tautological sequences and the insertion
+    differential on the ladder 5..8, plus the suite truncation itself."""
+    L = cfg.trunc(12)
+    checks = []
+    for trunc in list(range(5, min(L, 8) + 1)) + ([L] if L > 8 else []):
+        gt = GComplex(trunc, extended=True)
         rows = gt.exactness_report()
         bad = sum(1 for r in rows if not r["exact"])
         comp = max(r["compose_residual"] for r in rows)
+        D = gt.d_iota_signed
         checks.append(_check("short-sequence-ranks-L%d" % trunc,
                              "ideal-quotient-exactness", bad, 0.0,
                              exact=True))
@@ -258,34 +251,50 @@ def suite_htt(cfg):
                              "ideal-quotient-exactness", comp, 1e-12))
         checks.append(_check("insertion-squares-to-zero-L%d" % trunc,
                              "insertion-differential",
-                             np.abs(gt.d_iota_signed
-                                    @ gt.d_iota_signed).max(), 1e-12))
-        rng_t = np.random.default_rng(cfg.seed + 4000 + trunc)
-        x = gt.random_vector(rng_t, max_level=0)
-        y = gt.random_vector(rng_t, max_level=0)
+                             np.abs(D @ D).max(), 0.0, exact=True))
+        rng = np.random.default_rng(cfg.seed + trunc)
+        x = gt.random_vector(rng, max_level=0)
+        y = gt.random_vector(rng, max_level=0)
         s = np.where(gt.space.reduced_degrees() % 2, -1.0, 1.0)
-        D = gt.d_iota_signed
         lhs = D @ gt.product_apply(x, y)
         rhs = gt.product_apply(D @ x, y) + gt.product_apply(s * x, D @ y)
         checks.append(_check("insertion-leibniz-L%d" % trunc,
                              "insertion-differential",
                              np.abs(lhs - rhs).max(), 1e-12))
+        # free this rung before the next one is built
+        del gt, D
+    return checks
 
-    rep = check_u_cohomology_iso(truncation=L)
+
+def htt_hull(cfg):
+    """Cohomology of the cyclic hull against the sheaf cohomology."""
+    rep = check_u_cohomology_iso(truncation=cfg.trunc(12))
     dims_ok = (rep["o_dims"] == {0: 1, 1: 4, 2: 3}
                and rep["w_dims"] == {1: 3, 2: 4, 3: 1})
-    checks.append(_check("hull-graded-dimensions", "cyclic-hull-cohomology",
-                         0 if dims_ok else 1, 0.0, exact=True,
-                         o_dims=rep["o_dims"], w_dims=rep["w_dims"]))
-    checks.append(_check("hull-product-rank", "cyclic-hull-cohomology",
-                         abs(rep["product_rank"] - 3), 0.0, exact=True))
-    checks.append(_check("hull-product-match", "cyclic-hull-cohomology",
-                         rep["basis_change_residual"], 1e-9))
+    return [
+        _check("hull-graded-dimensions", "cyclic-hull-cohomology",
+               0 if dims_ok else 1, 0.0, exact=True,
+               o_dims=rep["o_dims"], w_dims=rep["w_dims"]),
+        _check("hull-product-rank", "cyclic-hull-cohomology",
+               abs(rep["product_rank"] - 3), 0.0, exact=True,
+               product_rank=rep["product_rank"]),
+        _check("hull-product-match", "cyclic-hull-cohomology",
+               rep["basis_change_residual"], 1e-9),
+        # the report's own verdict adds an invertible basis change and the
+        # absolute match bound to the three records above
+        _check("hull-basis-change-invertible", "cyclic-hull-cohomology",
+               0 if rep["pass"] else 1, 0.0, exact=True,
+               min_singular_value=rep["basis_change_min_singular"]),
+    ]
 
-    g6 = GComplex(min(L, 6))
-    con = build_contraction(g6)
+
+def htt_transfer(cfg):
+    """Homotopy transfer onto the harmonics at truncation min(L, 6)."""
+    con = build_contraction(GComplex(min(cfg.trunc(12), 6)))
+    checks = [_check("harmonic-count", "homotopy-transfer-relations",
+                     abs(con.nharm - 16), 0.0, exact=True)]
     tb = transfer(con, max_arity=cfg.max_arity)
-    rng = np.random.default_rng(cfg.seed + 3000)
+    rng = np.random.default_rng(cfg.seed)
     lr = check_linfty_relations(tb, rng, max_arity=cfg.max_arity,
                                 samples=2, rank=cfg.rank)
     checks.append(_check("transfer-jacobi-relations",
@@ -299,13 +308,19 @@ def suite_htt(cfg):
     checks.append(_check("transfer-cohomology-iso", "quasi-isomorphism",
                          0 if qi["isomorphism"] else 1, 0.0, exact=True,
                          induced_rank=qi["induced_rank"]))
-    P = harmonic_pairing(con)
-    cy = check_cyclic(tb, P, rng, arities=(2, 3, 4), samples=3,
-                      rank=cfg.rank)
+    cy = check_cyclic(tb, harmonic_pairing(con), rng, arities=(2, 3, 4),
+                      samples=5, rank=cfg.rank)
     checks.append(_check("transfer-cyclic-compatibility",
                          "cyclic-pairing-compatibility",
                          max(cy.values()), 1e-10))
     return checks
+
+
+HTT_PARTS = (htt_side_conditions, htt_exactness, htt_hull, htt_transfer)
+
+
+def suite_htt(cfg):
+    return [c for part in HTT_PARTS for c in part(cfg)]
 
 
 def suite_bv(cfg):

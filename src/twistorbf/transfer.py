@@ -115,10 +115,11 @@ def heisenberg_dga():
 class Contraction:
     """Validated (i, p, H) retraction data over a product-bearing complex.
 
-    The projector must be orthogonal in the given coordinates (ours are),
-    so p is just the transpose of the inclusion.  Violated side conditions
-    raise with the offending residual; pass a pairing matrix to also check
-    isotropy and graded self-adjointness of H.
+    The projector must be a coordinate projector, diagonal with entries 0
+    and 1 (every one built here is), so the inclusion picks basis vectors
+    and p is its transpose.  Violated side conditions raise with the
+    offending residual; pass a pairing matrix to also check isotropy and
+    graded self-adjointness of H.
     """
 
     def __init__(self, algebra, d, homotopy, proj, degrees, pairing=None,
@@ -132,36 +133,24 @@ class Contraction:
             pairing, dtype=complex)
         self.label = label
         self.dim = self.d.shape[0]
-        self.i_mat = self._harmonic_columns()
+        idx = self._harmonic_index()
+        self.i_mat = np.zeros((self.dim, len(idx)))
+        self.i_mat[idx, np.arange(len(idx))] = 1.0
         self.p_mat = self.i_mat.T.copy()
-        self.nharm = self.i_mat.shape[1]
-        self.harm_degrees = np.array(
-            [self.degrees[np.argmax(np.abs(self.i_mat[:, a]))]
-             for a in range(self.nharm)], dtype=int)
+        self.nharm = len(idx)
+        self.harm_degrees = self.degrees[idx]
         self._validate(tol)
 
-    def _harmonic_columns(self):
+    def _harmonic_index(self):
+        """Basis vectors the projector keeps; it must be diagonal 0/1."""
         diag = np.real(np.diag(self.proj))
-        off = np.abs(self.proj - np.diag(diag)).max() if self.dim else 0.0
-        if off < 1e-12 and np.all(np.abs(diag * (1.0 - diag)) < 1e-12):
-            idx = np.nonzero(diag > 0.5)[0]
-            cols = np.zeros((self.dim, len(idx)))
-            for a, k in enumerate(idx):
-                cols[k, a] = 1.0
-            return cols
-        # orthonormal range basis, degree block by degree block
-        cols = []
-        for r in sorted(set(self.degrees.tolist())):
-            sel = np.nonzero(self.degrees == r)[0]
-            sub = self.proj[np.ix_(sel, sel)]
-            u, s, _ = np.linalg.svd(sub)
-            rank = int((s > 0.5).sum())
-            for a in range(rank):
-                v = np.zeros(self.dim)
-                v[sel] = np.real(u[:, a])
-                cols.append(v)
-        return (np.stack(cols, axis=1) if cols
-                else np.zeros((self.dim, 0)))
+        off = _amax(self.proj - np.diag(diag))
+        idem = _amax(diag * (1.0 - diag))
+        if not (off < 1e-12 and idem < 1e-12):
+            raise ValueError("projector is not a diagonal 0/1 matrix: "
+                             "off-diagonal residual %.3e, idempotence "
+                             "residual %.3e" % (off, idem))
+        return np.nonzero(diag > 0.5)[0]
 
     def _validate(self, tol):
         checks = {}

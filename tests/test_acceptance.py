@@ -1,32 +1,26 @@
 """Acceptance gate: the ten headline properties at their stated tolerances.
 
-Each test prints one summary line; heavy artifacts (kernel quadratures at
-order 64, the truncation-12 complexes, the 20-probe master equation run)
-are shared through module-scoped fixtures.
+Each criterion asserts on the check records of the suites behind the
+command line driver (`twistorbf.suites`), so the gate and the CLI run one
+copy of each check.  Each test prints one summary line; the order-64
+kernel quadratures and the 20-probe master equation run are module-scoped
+fixtures.
 """
 
 import time
 
-import numpy as np
 import pytest
 
-from twistorbf import bv
-from twistorbf.gcomplex import GComplex
-from twistorbf.selfdual import check_u_cohomology_iso
 from twistorbf.suites import (
     SuiteConfig,
+    htt_exactness,
+    htt_hull,
+    htt_side_conditions,
+    htt_transfer,
     suite_bv,
     suite_cohomology,
     suite_invariance,
     suite_kernel,
-)
-from twistorbf.transfer import (
-    build_contraction,
-    check_cyclic,
-    check_linfty_relations,
-    harmonic_pairing,
-    quasi_iso_linear,
-    transfer,
 )
 
 
@@ -37,6 +31,15 @@ def _line(num, label, ok, detail=""):
 
 def _by_prefix(checks, prefix):
     return [c for c in checks if c["name"].startswith(prefix)]
+
+
+def _named(checks):
+    return {c["name"]: c for c in checks}
+
+
+def _failing(checks, bound):
+    """Names of the records whose residual is not below bound."""
+    return [c["name"] for c in checks if not c["residual"] < bound]
 
 
 @pytest.fixture(scope="module")
@@ -110,16 +113,11 @@ def test_criterion_05_holomorphy(kernel_checks):
 
 
 def test_criterion_06_side_conditions():
-    g = GComplex(12)
-    H, Pr = g.hom_full, g.proj_full
-    M = g.pairing_matrix().matrix
-    s = np.where(g.space.reduced_degrees() % 2, -1.0, 1.0)
-    r_sq = np.abs(H @ H).max()
-    r_orth = np.abs(H.T @ M @ Pr).max()
-    r_adj = np.abs(H.T @ M - s[:, None] * (M @ H)).max()
-    ge = GComplex(12, extended=True)
-    HD = ge.hom_full @ ge.d_iota_signed
-    r_nil = np.abs(HD @ HD).max()
+    named = _named(htt_side_conditions(SuiteConfig(suite="htt")))
+    r_sq = named["homotopy-squares-to-zero"]["residual"]
+    r_orth = named["homotopy-orthogonal-to-harmonics"]["residual"]
+    r_adj = named["homotopy-pairing-adjointness"]["residual"]
+    r_nil = named["insertion-homotopy-nilpotent"]["residual"]
     worst = max(r_sq, r_orth, r_adj, r_nil)
     _line(6, "contraction side conditions", worst < 1e-12,
           "H2 %.1e, orth %.1e, adj %.1e, (Hd)2 %.1e"
@@ -131,42 +129,40 @@ def test_criterion_06_side_conditions():
 
 
 def test_criterion_07_hull_cohomology_match():
-    rep = check_u_cohomology_iso(truncation=12)
-    ok = (rep["o_dims"] == {0: 1, 1: 4, 2: 3}
-          and rep["w_dims"] == {1: 3, 2: 4, 3: 1}
-          and rep["product_rank"] == 3 and rep["pass"])
+    named = _named(htt_hull(SuiteConfig(suite="htt")))
+    dims = named["hull-graded-dimensions"]
+    rank = named["hull-product-rank"]["product_rank"]
+    match = named["hull-product-match"]["residual"]
+    verdict = named["hull-basis-change-invertible"]["residual"]
+    ok = (dims["o_dims"] == {0: 1, 1: 4, 2: 3}
+          and dims["w_dims"] == {1: 3, 2: 4, 3: 1}
+          and rank == 3 and verdict == 0)
     _line(7, "hull vs sheaf cohomology", ok,
-          "dims (1,4,3|3,4,1), rank %d, match %.1e"
-          % (rep["product_rank"], rep["basis_change_residual"]))
-    assert rep["o_dims"] == {0: 1, 1: 4, 2: 3}
-    assert rep["w_dims"] == {1: 3, 2: 4, 3: 1}
-    assert rep["product_rank"] == 3
-    assert rep["pass"]
+          "dims (1,4,3|3,4,1), rank %d, match %.1e" % (rank, match))
+    assert dims["o_dims"] == {0: 1, 1: 4, 2: 3}
+    assert dims["w_dims"] == {1: 3, 2: 4, 3: 1}
+    assert rank == 3
+    assert verdict == 0
 
 
 def test_criterion_08_homotopy_transfer():
     start = time.time()
-    g = GComplex(6)
-    con = build_contraction(g)
-    tb = transfer(con, max_arity=4)
-    rng = np.random.default_rng(0)
-    lr = check_linfty_relations(tb, rng, max_arity=4, samples=2, rank=2)
-    r_rel = max(v for v in lr.values() if v is not None)
-    qi = quasi_iso_linear(con)
-    cy = check_cyclic(tb, harmonic_pairing(con), rng, arities=(2, 3, 4),
-                      samples=5, rank=2)
-    r_cy = max(cy.values())
+    named = _named(htt_transfer(SuiteConfig(suite="htt")))
     elapsed = time.time() - start
-    ok = (con.nharm == 16 and r_rel < 1e-10
-          and qi["cochain_residual"] < 1e-10 and qi["isomorphism"]
-          and r_cy < 1e-10 and elapsed < 60.0)
+    nharm_miss = named["harmonic-count"]["residual"]
+    r_rel = named["transfer-jacobi-relations"]["residual"]
+    r_co = named["transfer-cochain-map"]["residual"]
+    iso_miss = named["transfer-cohomology-iso"]["residual"]
+    r_cy = named["transfer-cyclic-compatibility"]["residual"]
+    ok = (nharm_miss == 0 and r_rel < 1e-10 and r_co < 1e-10
+          and iso_miss == 0 and r_cy < 1e-10 and elapsed < 60.0)
     _line(8, "homotopy transfer", ok,
           "relations %.1e, cochain %.1e, cyclic %.1e, %.1fs"
-          % (r_rel, qi["cochain_residual"], r_cy, elapsed))
-    assert con.nharm == 16          # 16 k^2 degrees of freedom at k = 2
+          % (r_rel, r_co, r_cy, elapsed))
+    assert nharm_miss == 0          # 16 k^2 degrees of freedom at k = 2
     assert r_rel < 1e-10
-    assert qi["cochain_residual"] < 1e-10
-    assert qi["isomorphism"]
+    assert r_co < 1e-10
+    assert iso_miss == 0
     assert r_cy < 1e-10
     assert elapsed < 60.0
 
@@ -183,32 +179,20 @@ def test_criterion_09_master_equation(bv_checks):
 
 
 def test_criterion_10_exactness_and_insertion():
-    worst_rank = 0
-    worst_comp = 0.0
-    worst_dd = 0.0
-    worst_leib = 0.0
-    for trunc in (5, 6, 7, 8, 12):
-        gt = GComplex(trunc, extended=True)
-        rows = gt.exactness_report()
-        worst_rank += sum(1 for r in rows if not r["exact"])
-        worst_comp = max(worst_comp,
-                         max(r["compose_residual"] for r in rows))
-        worst_dd = max(worst_dd,
-                       np.abs(gt.d_iota_signed @ gt.d_iota_signed).max())
-        rng = np.random.default_rng(trunc)
-        x = gt.random_vector(rng, max_level=0)
-        y = gt.random_vector(rng, max_level=0)
-        s = np.where(gt.space.reduced_degrees() % 2, -1.0, 1.0)
-        D = gt.d_iota_signed
-        lhs = D @ gt.product_apply(x, y)
-        rhs = gt.product_apply(D @ x, y) + gt.product_apply(s * x, D @ y)
-        worst_leib = max(worst_leib, np.abs(lhs - rhs).max())
-    ok = (worst_rank == 0 and worst_comp < 1e-12 and worst_dd == 0.0
-          and worst_leib < 1e-12)
+    checks = htt_exactness(SuiteConfig(suite="htt"))
+    ranks = _by_prefix(checks, "short-sequence-ranks")
+    comp = _by_prefix(checks, "short-sequence-composition")
+    dd = _by_prefix(checks, "insertion-squares-to-zero")
+    leib = _by_prefix(checks, "insertion-leibniz")
+    worst_comp = max(c["residual"] for c in comp)
+    worst_leib = max(c["residual"] for c in leib)
+    ok = (all(c["residual"] == 0 for c in ranks + dd)
+          and worst_comp < 1e-12 and worst_leib < 1e-12)
     _line(10, "short sequence exactness", ok,
           "ranks exact, compose %.1e, leibniz %.1e"
           % (worst_comp, worst_leib))
-    assert worst_rank == 0
-    assert worst_comp < 1e-12
-    assert worst_dd == 0.0
-    assert worst_leib < 1e-12
+    assert [c["name"] for c in ranks] == [
+        "short-sequence-ranks-L%d" % t for t in (5, 6, 7, 8, 12)]
+    assert not [c["name"] for c in ranks + dd if c["residual"] != 0]
+    assert not _failing(comp, 1e-12)
+    assert not _failing(leib, 1e-12)

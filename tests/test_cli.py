@@ -3,7 +3,7 @@ import json
 import pytest
 
 from twistorbf.cli import main
-from twistorbf.suites import SuiteConfig, run_suite
+from twistorbf.suites import HTT_PARTS, SuiteConfig, run_suite
 
 
 def run_cli(capsys, *args):
@@ -104,3 +104,24 @@ def test_run_suite_rejects_bad_config():
         run_suite(SuiteConfig(suite="bogus"))
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(suite="bv", rank=0))
+
+
+def test_htt_suite_matches_its_parts(capsys):
+    # the acceptance gate reads these records from the four parts; the
+    # CLI suite is their concatenation
+    code, rep = run_cli(capsys, "--suite", "htt", "--truncation", "5")
+    assert code == 0
+    names = {c["name"] for c in rep["checks"]}
+    assert {
+        "homotopy-squares-to-zero", "homotopy-orthogonal-to-harmonics",
+        "homotopy-pairing-adjointness", "insertion-homotopy-nilpotent",
+        "short-sequence-ranks-L5", "short-sequence-composition-L5",
+        "insertion-squares-to-zero-L5", "insertion-leibniz-L5",
+        "hull-graded-dimensions", "hull-product-rank", "hull-product-match",
+        "hull-basis-change-invertible", "harmonic-count",
+        "transfer-jacobi-relations", "transfer-cochain-map",
+        "transfer-cohomology-iso", "transfer-cyclic-compatibility",
+    } <= names
+    cfg = SuiteConfig(suite="htt", truncation=5)
+    parts = [c for part in HTT_PARTS for c in part(cfg)]
+    assert rep["checks"] == json.loads(json.dumps(parts))

@@ -8,8 +8,6 @@ from twistorbf.graded import (
     BigradedSpace,
     GradedMap,
     Pairing,
-    anticommutator,
-    check_bicomplex,
     cohomology,
     koszul_sign,
     koszul_sign_permutation,
@@ -67,28 +65,11 @@ def _two_by_two_square():
     d1 = np.zeros((4, 4))
     d1[1, 0] = 1.0  # 1 -> x
     d1[3, 2] = 1.0  # y -> xy
-    d2 = np.zeros((4, 4))
-    d2[2, 0] = 1.0   # 1 -> y
-    d2[3, 1] = -1.0  # x -> -xy, makes the two directions anticommute
-    m1 = GradedMap(space, space, (1, 0), d1)
-    m2 = GradedMap(space, space, (0, 1), d2)
-    return space, m1, m2
-
-
-def test_bicomplex_checks_pass_and_fail():
-    space, m1, m2 = _two_by_two_square()
-    res = check_bicomplex(m1, m2)
-    assert res["d1_squared"] < 1e-14
-    assert res["d2_squared"] < 1e-14
-    assert res["anticommutator"] < 1e-14
-    # flip the compensating sign: anticommutator must light up
-    bad = GradedMap(space, space, (0, 1), np.abs(m2.matrix), check=False)
-    res_bad = check_bicomplex(m1, bad)
-    assert res_bad["anticommutator"] > 0.5
+    return space, GradedMap(space, space, (1, 0), d1)
 
 
 def test_graded_map_degree_violation():
-    space, m1, _ = _two_by_two_square()
+    space, m1 = _two_by_two_square()
     with pytest.raises(ValueError):
         GradedMap(space, space, (0, 1), m1.matrix)  # wrong declared shift
     dirty = m1.matrix.copy()
@@ -138,15 +119,6 @@ def test_degree_violation_matches_column_loop(seed):
         assert bad.degree_violation() == pytest.approx(abs(0.37 - 0.2j))
         with pytest.raises(ValueError, match="off the declared bidegree"):
             GradedMap(src, tgt, shift, planted)
-
-
-def test_compose_and_anticommutator_shifts():
-    space, m1, m2 = _two_by_two_square()
-    c = m1.compose(m2)
-    assert c.shift == BiDegree(1, 1)
-    assert c.degree_violation() < 1e-14
-    ac = anticommutator(m1, m2)
-    assert np.abs(ac.matrix).max() < 1e-14
 
 
 def test_cohomology_dims_and_representatives():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twistorbf.kernels import (
     KernelHomotopy,
@@ -105,6 +106,38 @@ def test_holomorphy_by_finite_differences():
         for z1, z2 in separated_pairs(rng, 20, min_chordal=0.45, max_chordal=0.9):
             worst = max(worst, float(check_holomorphy(n, z1, z2, step=1e-4)))
         assert worst < 1e-7
+
+
+def _inline_holomorphy(n, z1, z2, step):
+    # oracle: the stencil check_holomorphy inlined before it shared
+    # fd_wirtinger with check_offdiag_dbar
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+    if n >= -1:
+        fun = lambda w: kernel_h(n, z1, w)
+        z = z2
+    else:
+        fun = lambda w: kernel_h(n, w, z2)
+        z = z1
+    fx = (fun(z + step) - fun(z - step)) / (2 * step)
+    fy = (fun(z + 1j * step) - fun(z - 1j * step)) / (2 * step)
+    dbar = 0.5 * (fx + 1j * fy)
+    dhol = 0.5 * (fx - 1j * fy)
+    scale = np.maximum(np.abs(dhol), np.abs(fun(z)))
+    return np.abs(dbar) / scale
+
+
+_POINTS = st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                             allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(-4, 2), z1=_POINTS, z2=_POINTS,
+       step=st.floats(1e-6, 1e-2))
+def test_shared_stencil_matches_inline_formula(n, z1, z2, step):
+    assume(chordal(z1, z2) > 0.05)
+    np.testing.assert_array_equal(check_holomorphy(n, z1, z2, step=step),
+                                  _inline_holomorphy(n, z1, z2, step))
 
 
 def test_g_kernel_blocks():

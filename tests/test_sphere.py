@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from twistorbf.kernels import Mobius
 from twistorbf.radial import SphereGrid
 from twistorbf.sphere import (
     LineBundleModel,
+    Mobius,
     build_model,
     form_inner,
     harmonic_forms,
@@ -109,7 +110,7 @@ def test_rotation_preserves_inner_products():
                 continue
             c1 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             c2 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            g = Mobius.random(rng).matrix()
+            g = Mobius.random(rng)
             v1 = m.rotate_values(g, GRID.z, c1, degree)
             v2 = m.rotate_values(g, GRID.z, c2, degree)
             before = m.grid_inner(m.values(c1, GRID.z, degree),
@@ -121,24 +122,52 @@ def test_rotation_preserves_inner_products():
 def test_rotation_matrix_is_unitary_and_respects_identity():
     rng = np.random.default_rng(5)
     m = build_model(-2, levels=3)
-    g = Mobius.random(rng).matrix()
+    g = Mobius.random(rng)
     for degree in (0, 1):
         u = m.rotation_matrix(g, GRID, degree)
         d = m.dim(degree)
         assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-11
-    eye = m.rotation_matrix(np.eye(2, dtype=complex), GRID, 0)
+    eye = m.rotation_matrix(Mobius.identity(), GRID, 0)
     assert np.abs(eye - np.eye(m.dim0)).max() < 1e-12
 
 
-def test_green_and_projector_relations():
+def _inline_rotate_values(m, a, b, z, coeffs, degree):
+    # oracle: the automorphy factor and image point rotate_values inlined
+    # before it read them off Mobius
+    p = np.conj(a) - np.conj(b) * z
+    absp = np.abs(p)
+    safe = np.where(absp > 0, absp, 1.0)
+    phase = (p / safe) ** (m.n if degree == 0 else m.n + 2)
+    fz = (a * z + b) / np.where(absp > 0, p, 1e-300)
+    return phase * m.values(coeffs, fz, degree)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(-4, 4), degree=st.sampled_from([0, 1]),
+       row=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_rotation_matches_inline_formula(n, degree, row):
+    v = np.array(row)
+    assume(np.linalg.norm(v) > 0.1)
+    v /= np.linalg.norm(v)
+    g = Mobius(v[0] + 1j * v[1], v[2] + 1j * v[3])
+    m = build_model(n, levels=3)
+    if m.dim(degree) == 0:
+        return
+    eye = np.eye(m.dim(degree))
+    want = _inline_rotate_values(m, g.a, g.b, GRID.z, eye, degree)
+    np.testing.assert_array_equal(m.rotate_values(g, GRID.z, eye, degree),
+                                  want)
+    vals, wfac = m.grid_data(GRID, degree)
+    np.testing.assert_array_equal(
+        m.rotation_matrix(g, GRID, degree),
+        np.einsum("ig,g,jg->ji", want, wfac, vals.conj()))
+
+
+def test_projector_annihilated_by_laplacian():
     for n in (-3, 1):
         m = build_model(n, levels=4)
-        for degree in (0, 1):
-            lap = m.laplacian_mat(degree)
-            g = m.green_mat(degree)
-            p = m.projector_mat(degree)
-            d = m.dim(degree)
-            assert np.abs(lap @ g + p - np.eye(d)).max() < 1e-12
+        d = m.dbar_mat
+        for lap, p in ((d.T @ d, m.proj0_mat), (d @ d.T, m.proj1_mat)):
             assert np.abs(lap @ p).max() < 1e-12
 
 
@@ -184,7 +213,7 @@ def test_rotation_matrix_block_diagonal_per_level():
     rng = np.random.default_rng(31)
     for n in (-3, 2):
         m = build_model(n, levels=4)
-        g = Mobius.random(rng).matrix()
+        g = Mobius.random(rng)
         u0 = m.rotation_matrix(g, GRID, 0)
         lv = m.level0
         off = u0[lv[:, None] != lv[None, :]]
@@ -193,7 +222,7 @@ def test_rotation_matrix_block_diagonal_per_level():
         lv1 = m.src_level1
         off1 = u1[lv1[:, None] != lv1[None, :]]
         assert np.abs(off1).max() < 1e-10
-        lap = m.laplacian_mat(0)
+        lap = m.dbar_mat.T @ m.dbar_mat
         comm = lap @ u0 - u0 @ lap
         assert np.abs(comm).max() < 1e-9
 

@@ -103,6 +103,21 @@ class TestToy:
         with pytest.raises(ValueError, match="residual"):
             Contraction(self.alg, self.d, H, self.proj, self.degs)
 
+    def test_non_coordinate_projector_raises(self):
+        # the inclusion is read off a diagonal 0/1 projector; a rotated
+        # projector or a non-idempotent diagonal is refused, naming its
+        # residual
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.eye(8)
+        rot[np.ix_([2, 3], [2, 3])] = [[c, -s], [s, c]]   # e2 kept, e3 not
+        with pytest.raises(ValueError, match="off-diagonal residual 2.82"):
+            Contraction(self.alg, self.d, self.H, rot @ self.proj @ rot.T,
+                        self.degs)
+        half = self.proj.copy()
+        half[0, 0] = 0.5
+        with pytest.raises(ValueError, match="idempotence residual 2.5"):
+            Contraction(self.alg, self.d, self.H, half, self.degs)
+
 
 class TestLineBundles:
     def test_negative_twist_has_no_harmonics(self):
