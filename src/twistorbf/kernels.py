@@ -16,6 +16,14 @@ in chordal distance: the far piece is flat near the pole and integrates well on
 the global grid, while the near piece is pushed to a rotated polar grid
 centered on the target, where the pole is cancelled by the polar measure.
 Sums are plain numpy reductions (pairwise), so results are reproducible.
+
+Both blocks are SU(2)-equivariant under the torus z -> e^(i alpha) z.  When
+alpha is a multiple of 2 pi / period, with period the angle count of the grid
+a block integrates over (the far grid's n_theta, or n_phi of the polar grid),
+rotating the target permutes that grid, and the block's value for a form of
+RadialFun weight w picks up e^(i (w - 1) alpha).  Each target ring of n_theta
+equally spaced targets is therefore evaluated directly only at its first
+q = n_theta // gcd(n_theta, period) targets, and the rest are rotations.
 """
 
 from __future__ import annotations
@@ -158,9 +166,9 @@ def bump(d, d_flat, d_cut):
 
 
 def _center_mobius(z2):
-    """SU(2) row sending 0 to z2."""
+    """The SU(2) map sending 0 to z2."""
     d = math.sqrt(1.0 + abs(z2) ** 2)
-    return complex(1.0 / d), z2 / d
+    return Mobius(1.0 / d, z2 / d)
 
 
 class KernelHomotopy:
@@ -170,6 +178,10 @@ class KernelHomotopy:
     spectral coefficients of `model`, and projects the result back onto the
     section basis, yielding a (dim0 x dim1) matrix comparable with
     model.hom_mat.
+
+    Both blocks are evaluated at q = n_theta // gcd(n_theta, period) targets
+    per target ring and rotated to the rest (module docstring); at the
+    defaults that is one far and four near targets per ring of 64.
     """
 
     def __init__(self, model: LineBundleModel, order=64, d_flat=0.15,
@@ -209,30 +221,41 @@ class KernelHomotopy:
         # polar measure, Jacobian of the rotation added per target below
         wzeta = (wrho * rho * chi)[:, None] * (2.0 * math.pi / self.n_phi)
         out = np.empty((len(zt), self.model.dim1), dtype=complex)
-        dzeta = 1.0 + np.abs(zeta) ** 2
         for i, z2 in enumerate(zt):
-            a, b = _center_mobius(z2)
-            p = np.conj(a) - np.conj(b) * zeta
-            z1 = (a * zeta + b) / p
+            g = _center_mobius(z2)
+            p = g.factor(zeta)
+            z1 = (g.a * zeta + g.b) / p
             # z2 - z1 without cancellation: -(zeta) / (conj(a) p)
-            dz = -zeta / (np.conj(a) * p)
+            dz = -zeta / (np.conj(g.a) * p)
             k = kernel_weighted(m.n, z1, z2, dz=dz)
             jac = 1.0 / np.abs(p) ** 4
             vals = m.basis_values(z1.ravel(), 1)
             out[i] = vals @ (k * jac * wzeta).ravel()
         return out
 
+    def _on_rings(self, block, period):
+        """block at every target, from the first q targets of each ring;
+        period is the angle count of the grid block integrates over.  The
+        chunks of 256 targets bound the far block's kernel array."""
+        t = self.targets
+        q = t.n_theta // math.gcd(t.n_theta, period)
+        zt = t.z.reshape(t.n_radial, t.n_theta)[:, :q].ravel()
+        chunk = 256
+        base = np.concatenate([block(zt[i0:i0 + chunk])
+                               for i0 in range(0, len(zt), chunk)])
+        w = np.array([f.weight for f in self.model.funs1])
+        alpha = 2.0 * math.pi * q * np.arange(t.n_theta // q) / t.n_theta
+        phase = np.exp(1j * alpha[:, None] * (w - 1)[None, :])
+        out = base.reshape(t.n_radial, 1, q, -1) * phase[None, :, None, :]
+        return out.reshape(t.n_radial * t.n_theta, -1)
+
     def matrix(self):
         """H as a (dim0, dim1) coefficient matrix."""
         if self._matrix is not None:
             return self._matrix
         m = self.model
-        zt = self.targets.z
-        outvals = np.empty((len(zt), m.dim1), dtype=complex)
-        chunk = 256
-        for i0 in range(0, len(zt), chunk):
-            sl = slice(i0, min(i0 + chunk, len(zt)))
-            outvals[sl] = self._far_block(zt[sl]) + self._near_block(zt[sl])
+        outvals = (self._on_rings(self._far_block, self.far.n_theta)
+                   + self._on_rings(self._near_block, self.n_phi))
         v0, wfac = m.grid_data(self.targets, 0)
         self._matrix = v0.conj() @ (wfac[:, None] * outvals)
         return self._matrix

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twistorbf.kernels import (
+    G_KERNEL_TWISTS,
     KernelHomotopy,
     Mobius,
     chain_identity_quadrature,
@@ -193,6 +195,54 @@ def test_quadrature_chain_identity():
 def test_quadrature_zero_in_zero_out():
     m, hq = _hq(0)
     assert np.abs(hq.apply(np.zeros(m.dim1))).max() == 0.0
+
+
+def _per_target_matrix(hq):
+    # oracle: far and near blocks evaluated at every target in chunks of
+    # 256, as matrix() did before it rotated results around the target rings
+    m = hq.model
+    zt = hq.targets.z
+    outvals = np.empty((len(zt), m.dim1), dtype=complex)
+    for i0 in range(0, len(zt), 256):
+        sl = slice(i0, i0 + 256)
+        outvals[sl] = hq._far_block(zt[sl]) + hq._near_block(zt[sl])
+    v0, wfac = m.grid_data(hq.targets, 0)
+    return v0.conj() @ (wfac[:, None] * outvals)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_model(n):
+    return build_model(n, 3)
+
+
+@pytest.mark.parametrize("n", (-4, 0, 1))
+@pytest.mark.parametrize("target_order", (12, 32, 7))
+def test_ring_rotation_matches_per_target_quadrature(n, target_order):
+    # with n_phi = 48 and far.n_theta = 32, the (near, far) q per ring is
+    # (1, 3) at 24 targets a ring, (4, 2) at 64 and (7, 7) at 14
+    hq = KernelHomotopy(_small_model(n), order=16, target_order=target_order)
+    want = _per_target_matrix(hq)
+    got = hq.matrix()
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from(G_KERNEL_TWISTS), r=st.floats(0.05, 20.0),
+       theta=st.floats(0.0, 2 * math.pi), s=st.integers(-100, 100))
+def test_ring_rotation_phase_rule(n, r, theta, s):
+    # rotating the target by a step of the block's angular grid permutes
+    # that grid; the kernel turns by e^(-i alpha), form f by e^(i w_f alpha)
+    m = _small_model(n)
+    hq = KernelHomotopy(m, order=16)
+    # RadialFun.weight, not weights1: image forms record one less there
+    w = np.array([f.weight for f in m.funs1])
+    z = np.array([r * np.exp(1j * theta)])
+    for block, period in ((hq._near_block, hq.n_phi),
+                          (hq._far_block, hq.far.n_theta)):
+        alpha = 2 * math.pi * s / period
+        want = np.exp(1j * (w - 1) * alpha) * block(z)
+        got = block(np.exp(1j * alpha) * z)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_chordal_distance_range():
