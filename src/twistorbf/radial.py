@@ -120,14 +120,6 @@ class RadialFun:
         for k in [k for k, c in self.terms.items() if abs(c) <= tol]:
             del self.terms[k]
 
-    def trim(self, rel=1e-13):
-        """Drop structurally-cancelled dust relative to the largest term."""
-        if not self.terms:
-            return self
-        big = max(abs(c) for c in self.terms.values())
-        self._clean(rel * big)
-        return self
-
     # -- canonical (weight, offset-coefficients) form ---------------------
 
     def canonical(self):
@@ -234,6 +226,22 @@ def bilinear_integral(f, g):
     return integral_exact(f.mul(g))
 
 
+def gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1].
+
+    The nodes are numpy's.  Its weights err by up to 1.5e-12 relative at the
+    outer nodes for n = 48..96, which breaks the rule's exactness at about
+    1e-13; 2 / ((1 - t^2) P_n'(t)^2), with P_n' from the three-term
+    recurrence, meets the moments to 1e-14.
+    """
+    t = np.polynomial.legendre.leggauss(n)[0]
+    p0, p1 = np.ones_like(t), t
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * t * p1 - (k - 1) * p0) / k
+    dp = n * (p0 - t * p1) / ((1.0 - t) * (1.0 + t))
+    return t, 2.0 / ((1.0 - t) * (1.0 + t) * dp * dp)
+
+
 class RadialGrid:
     """Gauss-Legendre rule in t = (u-1)/(u+1), exact for the chart family.
 
@@ -251,7 +259,7 @@ class RadialGrid:
     """
 
     def __init__(self, n_nodes=48):
-        t, wt = np.polynomial.legendre.leggauss(int(n_nodes))
+        t, wt = gauss_legendre(int(n_nodes))
         self.n_nodes = int(n_nodes)
         self.t = t
         self.u = (1.0 + t) / (1.0 - t)

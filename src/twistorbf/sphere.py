@@ -4,8 +4,11 @@ A twist-n model holds an orthonormal basis of sections and (0,1)-forms
 organized by rotation level.  Sections at level p span the spin j = |n|/2 + p
 representation; their chart functions come from a two-term recursion that
 solves the harmonicity condition weight by weight, so no numerical
-diagonalization enters the basis.  The d-bar operator is diagonal across
-matched (level, weight) pairs with a level constant lambda_p, which makes the
+diagonalization enters the basis.  They are spin-weighted harmonics
+(Goldberg et al., J. Math. Phys. 8 (1967) 2155), so their norms and the
+d-bar spectrum lambda_p^2 = 2 [j(j+1) - (n/2)(n/2+1)] are taken in closed
+form rather than measured.  The d-bar operator is diagonal across matched
+(level, weight) pairs with the level constant lambda_p, which makes the
 Green operator, the harmonic projector and the standard homotopy H = dbar* G
 explicit, and the chain identity {dbar, H} = 1 - P holds to machine precision
 by construction.
@@ -28,14 +31,6 @@ from .graded import BigradedSpace, GradedMap, cohomology
 from .radial import RadialFun, hermitian_inner
 
 
-def section_inner(f, g, n):
-    return hermitian_inner(f, g, n + 2)
-
-
-def form_inner(a, b, n):
-    return 2.0 * hermitian_inner(a, b, n)
-
-
 def level_sections(n, p):
     """Orthonormal chart functions of the level-p section space of twist n.
 
@@ -43,33 +38,35 @@ def level_sections(n, p):
     where (a, b) = (j + n/2, j - n/2) and j = |n|/2 + p.  The numerator
     coefficients solve the harmonicity recursion
         q_{m+1} = -[(m + a0 - a)(m + b0 - b)] / [(m + a0 + 1)(m + b0 + 1)] q_m
-    and terminate on their own once the numerator factor hits zero.
+    and terminate on their own once the numerator factor hits zero.  With
+    q_0 = 1 the solution has squared norm
+        pi / ((a + b + 1) C(a + b0, k) C(b + a0, k)),  k = |w|,
+    (a spin-weighted harmonic), so q_0 is set to the inverse square root.
     """
     two_j = abs(n) + 2 * p
     a = (two_j + n) // 2
     b = (two_j - n) // 2
     out = []
     for w in range(-b, a + 1):
-        a0, b0 = max(w, 0), max(-w, 0)
-        mmax = min(a - a0, b - b0)
-        q = 1.0
+        a0, b0, k = max(w, 0), max(-w, 0), abs(w)
+        q = math.sqrt((a + b + 1) * math.comb(a + b0, k)
+                      * math.comb(b + a0, k) / math.pi)
         terms = {}
-        for m in range(mmax + 1):
+        for m in range(min(a - a0, b - b0) + 1):
             terms[(a0 + m, b0 + m)] = q
             q *= -((m + a0 - a) * (m + b0 - b)) / ((m + a0 + 1) * (m + b0 + 1))
-        f = RadialFun(terms, gamma=b)
-        nrm = math.sqrt(section_inner(f, f, n).real)
-        out.append((w, f.scale(1.0 / nrm)))
+        out.append((w, RadialFun(terms, gamma=b)))
     return out
 
 
 def harmonic_forms(n):
-    """Orthonormal harmonic (0,1)-forms: A = zbar^k D^n, k = 0..-n-2."""
+    """Orthonormal harmonic (0,1)-forms: A = zbar^k D^n, k = 0..m with
+    m = -n-2; the unnormalized form has squared norm 2 pi / ((m+1) C(m, k))."""
+    m = -n - 2
     out = []
-    for k in range(max(-n - 1, 0)):
-        f = RadialFun({(0, k): 1.0}, gamma=-n)
-        nrm = math.sqrt(form_inner(f, f, n).real)
-        out.append((-k, f.scale(1.0 / nrm)))
+    for k in range(m + 1):
+        c = math.sqrt((m + 1) * math.comb(m, k) / (2.0 * math.pi))
+        out.append((-k, RadialFun({(0, k): c}, gamma=-n)))
     return out
 
 
@@ -139,52 +136,41 @@ class LineBundleModel:
 
     def _build_bases(self):
         n = self.n
-        self.funs0, self.weights0, self.level0 = [], [], []
-        self.lambdas = np.zeros(self.levels)
-        level_imgs = []
-        for p in range(self.levels):
-            secs = level_sections(n, p)
-            lams, imgs = [], []
-            for w, f in secs:
-                self.funs0.append(f)
-                self.weights0.append(w)
-                self.level0.append(p)
-                df = f.dbar()
-                lam2 = form_inner(df, df, n).real
-                lams.append(math.sqrt(max(lam2, 0.0)))
-                imgs.append((w, df))
-            lams = np.array(lams)
-            if lams.max() < 1e-13:
-                self.lambdas[p] = 0.0
-                level_imgs.append(None)
-            else:
-                # the d-bar norm must be constant across the level; the
-                # closed-form integrals lose ~4x precision per level to
-                # cancellation (measured 4e-9 relative at level 13), while a
-                # miswired recursion shows up at 1e-3, so the guard sits
-                # well above the noise and well below any real defect
-                if lams.max() - lams.min() > 3e-8 * lams.max():
-                    raise AssertionError("level %d of twist %d is not d-bar "
-                                         "isotypic" % (p, n))
-                self.lambdas[p] = lams.mean()
-                level_imgs.append(imgs)
+        two_j = abs(n) + 2 * np.arange(self.levels)
+        a, b = (two_j + n) // 2, (two_j - n) // 2
+        # lambda_p^2 = 2 [j(j+1) - (n/2)(n/2+1)] = 2 b (a+1), zero exactly
+        # when b = 0
+        self.lambdas = np.sqrt(2.0 * b * (a + 1))
 
         # weights1 is the weight of the section a form comes from: for an
         # image form (src_level1 >= 0) that is one less than its
         # coefficient's RadialFun.weight, for a harmonic form it is the
         # coefficient's weight.  Angular selection rules read RadialFun.weight.
+        self.funs0, self.weights0, self.level0 = [], [], []
         self.funs1, self.weights1, self.src_level1 = [], [], []
         for w, f in harmonic_forms(n):
             self.funs1.append(f)
             self.weights1.append(w)
             self.src_level1.append(-1)
         self.n_harm1 = len(self.funs1)
-        for p, imgs in enumerate(level_imgs):
-            if imgs is None:
-                continue
-            lam = self.lambdas[p]
-            for w, df in imgs:
-                g = df.scale(1.0 / lam).trim()
+        for p, lam in enumerate(self.lambdas):
+            for w, f in level_sections(n, p):
+                self.funs0.append(f)
+                self.weights0.append(w)
+                self.level0.append(p)
+                if lam == 0.0:
+                    continue
+                g = f.dbar().scale(1.0 / lam)
+                # the recursion is the same code at every level, so its
+                # first levels vouch for all; the Beta sums lose about 4x
+                # per level, and on levels 0-3 they are good to 1e-13 for
+                # |n| <= 8 and to 1e-12 for n >= -16
+                if p < 4:
+                    resid = abs(2.0 * hermitian_inner(g, g, n).real - 1.0)
+                    if resid > 1e-12:
+                        raise AssertionError(
+                            "twist %d level %d: |dbar f / lambda|^2 - 1 = "
+                            "%.3g" % (n, p, resid))
                 if g.boundedness_margin(self.n / 2.0 - 1.0) < -1e-9:
                     raise AssertionError("unbounded normalized form profile")
                 self.funs1.append(g)

@@ -1,16 +1,18 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from twistorbf.radial import SphereGrid
+from twistorbf import sphere
+from twistorbf.radial import RadialFun, RadialGrid, SphereGrid, hermitian_inner
 from twistorbf.sphere import (
     LineBundleModel,
     Mobius,
     build_model,
-    form_inner,
     harmonic_forms,
     level_sections,
-    section_inner,
 )
 
 GRID = SphereGrid(n_radial=48, n_theta=96)
@@ -30,20 +32,115 @@ def test_sections_orthonormal_across_levels():
         funs = []
         for p in range(4):
             funs.extend(level_sections(n, p))
-        g = np.array([[section_inner(f, h, n) for _, h in funs] for _, f in funs])
+        g = np.array([[hermitian_inner(f, h, n + 2) for _, h in funs]
+                      for _, f in funs])
         assert np.abs(g - np.eye(len(funs))).max() < 1e-12
 
 
 def test_harmonic_form_norm_formula():
     # ||zbar^k D^n||^2 = 2 pi k! (-n-k-2)! / (-n-1)! before normalization
-    import math
     for n in (-2, -3, -5):
         for k in range(-n - 1):
-            from twistorbf.radial import RadialFun
             f = RadialFun({(0, k): 1.0}, gamma=-n)
-            got = form_inner(f, f, n).real
+            got = 2.0 * hermitian_inner(f, f, n).real
             want = 2 * math.pi * math.factorial(k) * math.factorial(-n - k - 2) / math.factorial(-n - 1)
             assert got == pytest.approx(want, rel=1e-13)
+    for n in (-2, -3, -5):
+        for _, f in harmonic_forms(n):
+            assert 2.0 * hermitian_inner(f, f, n).real == pytest.approx(
+                1.0, rel=1e-13)
+
+
+def _exact_section_norm2(n, p, w):
+    """Squared norm / pi of the q_0 = 1 recursion solution, in rationals.
+
+    Runs the harmonicity recursion in Fractions and integrates f conj(f)
+    D^-(n+2) term by term with the Beta value pi / ((g-1) C(g-2, a)) of
+    z^a zbar^a D^-g (radial.integral_exact).
+    """
+    two_j = abs(n) + 2 * p
+    a, b = (two_j + n) // 2, (two_j - n) // 2
+    a0, b0 = max(w, 0), max(-w, 0)
+    q, coeffs = Fraction(1), []
+    for m in range(min(a - a0, b - b0) + 1):
+        coeffs.append(q)
+        q *= Fraction(-(m + a0 - a) * (m + b0 - b),
+                      (m + a0 + 1) * (m + b0 + 1))
+    g = 2 * b + n + 2
+    total = Fraction(0)
+    for m1, c1 in enumerate(coeffs):
+        for m2, c2 in enumerate(coeffs):
+            # z^(a0+m1) zbar^(b0+m1) times its conjugate partner of index m2
+            e = a0 + b0 + m1 + m2
+            total += c1 * c2 / ((g - 1) * math.comb(g - 2, e))
+    return total
+
+
+def test_section_norm_formula_exact():
+    # closed form pi / ((a+b+1) C(a+b0, k) C(b+a0, k)) against the exact
+    # rational Beta sum, for every function with |n| <= 8 and p <= 10
+    count = 0
+    for n in range(-8, 9):
+        for p in range(11):
+            two_j = abs(n) + 2 * p
+            a, b = (two_j + n) // 2, (two_j - n) // 2
+            for w, f in level_sections(n, p):
+                a0, b0, k = max(w, 0), max(-w, 0), abs(w)
+                want = Fraction(1, (a + b + 1) * math.comb(a + b0, k)
+                                * math.comb(b + a0, k))
+                assert _exact_section_norm2(n, p, w) == want
+                lead = f.terms[(a0, b0)].real
+                assert lead ** 2 * math.pi * float(want) == pytest.approx(
+                    1.0, rel=1e-14)
+                count += 1
+    assert count == 2849
+
+
+@pytest.mark.parametrize("n", range(-8, 9))
+def test_lambdas_match_measured_dbar_norms(n):
+    # lambda_p^2 = 2 b (a+1) against |dbar f|^2 measured with the closed-form
+    # integrals, which lose precision with the level: 1e-13 on levels 0-3,
+    # 1e-10 on levels 4-7
+    m = build_model(n, 8)
+    for p in range(8):
+        lam2 = m.lambdas[p] ** 2
+        tol = 1e-13 if p < 4 else 1e-10
+        for _, f in level_sections(n, p):
+            df = f.dbar()
+            got = 2.0 * hermitian_inner(df, df, n).real
+            if lam2 == 0.0:
+                assert not df.terms
+            else:
+                assert abs(got - lam2) <= tol * lam2
+
+
+def test_builds_sixteen_levels():
+    for n in range(-8, 9):
+        m = build_model(n, 16)
+        assert m.dim0 == 16 * (abs(n) + 16)
+
+
+@pytest.mark.parametrize("n", range(-4, 5))
+def test_radial_gram_at_fourteen_levels(n):
+    # the radial Gauss rule is exact for every same-weight product, so the
+    # Gram error measures basis-value precision alone
+    m = build_model(n, 14)
+    grid = RadialGrid(64)
+    for degree in (0, 1):
+        v, wfac = m.grid_data(grid, degree)
+        w = np.array([f.weight for f in m.funs(degree)])
+        gram = np.where(w[:, None] == w[None, :], (v * wfac) @ v.conj().T, 0.0)
+        assert np.abs(gram - np.eye(len(w))).max() <= 1e-12
+
+
+def test_normalization_guard_names_its_residual(monkeypatch):
+    # a section basis off by 0.1% must stop the build on its first level
+    def off(n, p):
+        return [(w, f.scale(1.001)) for w, f in level_sections(n, p)]
+
+    monkeypatch.setattr(sphere, "level_sections", off)
+    with pytest.raises(AssertionError, match=r"twist -2 level 0: .* = 0\.002"):
+        build_model(-2, 3)
 
 
 def test_serre_dimensions_full_range():
