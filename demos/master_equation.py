@@ -42,7 +42,7 @@ print("  trace cyclicity      %.3e" % cyc)
 
 # control 1: a single tampered matrix entry of the differential shows up
 # immediately, so a small residual is not an artifact of the evaluation
-bad = data.dbar.copy()
+bad = G.dbar_full.copy()
 i, j = np.argwhere(np.abs(bad) > 0.1)[5]
 bad[i, j] *= 1.37
 worse = bv.master_equation_residual(bv.BFData(G, rank=2, dbar=bad),

@@ -182,7 +182,7 @@ class BFData(object):
                 "of %.3e" % (svals[-1] if svals.size else 0.0,
                              svals[0] if svals.size else 0.0))
         self.pairing_norm = svals[0]
-        self.dbar = np.asarray(source.dbar_full if dbar is None else dbar)
+        self.dbar = source.dbar if dbar is None else dbar
         red = source.space.reduced_degrees()
         self.parity_mask = (np.asarray(red) % 2).astype(bool)
         self._build_grid_tables()

@@ -35,13 +35,13 @@ product path reads it: single, batched and contracted coefficient
 products, left multiplication operators, the trace pairing, and the grid
 products of the bv module.
 
-Linear operators are stored as their nonzero blocks, keyed by (target
-piece, source piece): dbar, the homotopy H and the harmonic projector P as
-one kron(I_mult, model operator) block per block piece, the insertion
+Linear operators are stored in the shape they have: dbar, the homotopy H
+and the harmonic projector P as one `graded.Gather` each (`dbar`, `hom`,
+`proj`: the models' gathers on every multiplicity copy), the insertion
 d_iota and the quotient map eps as the dense blocks of the tautological
-sequences.  The dense n x n forms (`dbar_full`, `hom_full`, `proj_full`,
-`d_iota_full`, `d_iota_signed`, `eps_matrix`) are assembled on first
-access and then cached.
+sequences, keyed by (target piece, source piece).  The dense n x n forms
+(`dbar_full`, `hom_full`, `proj_full`, `d_iota_full`, `d_iota_signed`,
+`eps_matrix`) are assembled on first access and then cached.
 
 All caches are per-instance, the line bundle models included (an extended
 complex shares its models with its quotient), and filled lazily; instances
@@ -54,7 +54,7 @@ import functools
 
 import numpy as np
 
-from .graded import BiDegree, BigradedSpace, Pairing
+from .graded import BiDegree, BigradedSpace, Gather, Pairing
 from .radial import RadialGrid, SphereGrid
 from .sphere import build_model
 
@@ -309,19 +309,17 @@ class GComplex:
     # -- linear structure -------------------------------------------------
 
     def _build_linear_maps(self):
-        self.dbar_blocks, self.hom_blocks, self.proj_blocks = {}, {}, {}
-        harm = []
+        # the models' dbar, H and P gathers on this layout, one copy per
+        # multiplicity index
+        ops = [Gather(self.dim, [], [], []) for _ in range(3)]
+        self.dbar, self.hom, self.proj = ops
         for bi, b in enumerate(self.blocks):
-            eye = np.eye(b.mult)
-            p0, p1 = (bi, 0), (bi, 1)
-            self.dbar_blocks[(p1, p0)] = np.kron(eye, b.model.dbar_mat)
-            self.hom_blocks[(p0, p1)] = np.kron(eye, b.model.hom_mat)
-            self.proj_blocks[(p0, p0)] = np.kron(eye, b.model.proj0_mat)
-            self.proj_blocks[(p1, p1)] = np.kron(eye, b.model.proj1_mat)
-            for q in (0, 1):
-                diag = np.tile(np.diag(b.model.projector_mat(q)), b.mult)
-                harm.append(self.offsets[(bi, q)] + np.nonzero(diag > 0.5)[0])
-        self.harmonic_indices = np.concatenate(harm).astype(int)
+            # layout position of each model index (sections, then forms)
+            pos = np.hstack([self.offsets[(bi, q)] + np.arange(b.dim(q))
+                             .reshape(b.mult, b.model.dim(q)) for q in (0, 1)])
+            for op, mop in zip(ops, (b.model.dbar, b.model.hom, b.model.proj)):
+                op.col[pos], op.val[pos] = pos[:, mop.col], mop.val
+        self.harmonic_indices = np.nonzero(self.proj.val)[0]
         self.n_harmonic = len(self.harmonic_indices)
         # trace: integral of the ideal-side top form component
         self.trace_vector = np.zeros(self.dim, dtype=complex)
@@ -349,17 +347,9 @@ class GComplex:
             out[rows.block_slice(bt, qt), self.block_slice(bs, qs)] = blk
         return out
 
-    @functools.cached_property
-    def dbar_full(self):
-        return self._dense(self.dbar_blocks)
-
-    @functools.cached_property
-    def hom_full(self):
-        return self._dense(self.hom_blocks)
-
-    @functools.cached_property
-    def proj_full(self):
-        return self._dense(self.proj_blocks)
+    dbar_full = functools.cached_property(lambda self: self.dbar.dense())
+    hom_full = functools.cached_property(lambda self: self.hom.dense())
+    proj_full = functools.cached_property(lambda self: self.proj.dense())
 
     @functools.cached_property
     def d_iota_full(self):

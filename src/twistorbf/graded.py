@@ -2,9 +2,10 @@
 
 Every space here carries an integer bidegree (k, l) per basis vector; the
 reduced degree k - l drives all sign rules.  Maps are dense complex matrices
-together with a bidegree shift; the cohomology of a differential, with
-harmonic representatives, and the Koszul signs are what the sphere
-complexes and the homotopy transfer machinery build on.
+together with a bidegree shift, or a `Gather` when they have one nonzero
+per row; the cohomology of a differential, with harmonic representatives,
+and the Koszul signs are what the sphere complexes and the homotopy
+transfer machinery build on.
 """
 
 from __future__ import annotations
@@ -112,8 +113,47 @@ class GradedMap:
                | (tdeg[:, 1, None] != want[None, :, 1]))
         return float(np.abs(self.matrix[bad]).max(initial=0.0))
 
-    def __call__(self, vec):
-        return self.matrix @ vec
+
+class Gather:
+    """n x n operator with at most one nonzero per row, val[i] in column
+    col[i] (val 0: an empty row), the shape of d-bar, H and P.  Each entry
+    of a product with it is one term, so it equals the dense one bitwise."""
+
+    __array_ufunc__ = None      # ndarray @ Gather defers to __rmatmul__
+
+    def __init__(self, n, rows, cols, vals):
+        self.shape = (n, n)
+        self.col = np.zeros(n, dtype=int)
+        self.val = np.zeros(n, dtype=np.result_type(np.asarray(vals), float))
+        self.col[rows], self.val[rows] = cols, vals
+
+    def __matmul__(self, x):
+        if isinstance(x, Gather):
+            return Gather(self.shape[0], slice(None), x.col[self.col],
+                          self.val * x.val[self.col])
+        x = np.asarray(x)
+        return self.val.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.col]
+
+    def __rmatmul__(self, x):
+        x, nz = np.asarray(x), np.nonzero(self.val)[0]
+        out = np.zeros(x.shape[:-1] + self.shape[:1],
+                       dtype=np.result_type(x, self.val))
+        np.add.at(out.T, self.col[nz], (x[..., nz] * self.val[nz]).T)
+        return out
+
+    def dense(self):
+        out = np.zeros(self.shape, dtype=self.val.dtype)
+        out[np.arange(self.shape[0]), self.col] = self.val
+        return out
+
+
+def support_max(fn, *ops):
+    """Largest |fn(a, b, ...)| over the entries of equal-size gathers,
+    taken where one of them is nonzero (fn(0, 0, ...) must be 0)."""
+    rows, cols = np.unique(np.hstack([
+        [np.nonzero(op.val)[0], op.col[op.val != 0]] for op in ops]), axis=1)
+    vals = [np.where(op.col[rows] == cols, op.val[rows], 0) for op in ops]
+    return float(np.abs(fn(*vals)).max(initial=0.0))
 
 
 def _rank(mat, tol=1e-10):

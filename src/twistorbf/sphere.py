@@ -7,11 +7,11 @@ solves the harmonicity condition weight by weight, so no numerical
 diagonalization enters the basis.  They are spin-weighted harmonics
 (Goldberg et al., J. Math. Phys. 8 (1967) 2155), so their norms and the
 d-bar spectrum lambda_p^2 = 2 [j(j+1) - (n/2)(n/2+1)] are taken in closed
-form rather than measured.  The d-bar operator is diagonal across matched
-(level, weight) pairs with the level constant lambda_p, which makes the
-Green operator, the harmonic projector and the standard homotopy H = dbar* G
-explicit, and the chain identity {dbar, H} = 1 - P holds to machine precision
-by construction.
+form rather than measured.  d-bar sends each section to its image form
+times the level constant lambda_p, which makes the Green operator, the
+harmonic projector and the standard homotopy H = dbar* G explicit; the three
+are `graded.Gather`s, the dense blocks derive from them, and the chain
+identity {dbar, H} = 1 - P holds to machine precision by construction.
 
 Conventions fixed here and used everywhere else:
   * chart metric weight D = 1 + |z|^2, fiber metric D^-n,
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .graded import BigradedSpace, GradedMap, cohomology
+from .graded import BigradedSpace, Gather, GradedMap, cohomology
 from .radial import RadialFun, hermitian_inner
 
 
@@ -148,6 +148,7 @@ class LineBundleModel:
         # coefficient's weight.  Angular selection rules read RadialFun.weight.
         self.funs0, self.weights0, self.level0 = [], [], []
         self.funs1, self.weights1, self.src_level1 = [], [], []
+        self._image_pairs = []      # (section, its image form)
         for w, f in harmonic_forms(n):
             self.funs1.append(f)
             self.weights1.append(w)
@@ -173,6 +174,8 @@ class LineBundleModel:
                             "%.3g" % (n, p, resid))
                 if g.boundedness_margin(self.n / 2.0 - 1.0) < -1e-9:
                     raise AssertionError("unbounded normalized form profile")
+                self._image_pairs.append((len(self.funs0) - 1,
+                                          len(self.funs1)))
                 self.funs1.append(g)
                 self.weights1.append(w)
                 self.src_level1.append(p)
@@ -185,28 +188,19 @@ class LineBundleModel:
         self.dim1 = len(self.funs1)
         self.lam0 = self.lambdas[self.level0]
 
-        # index of the image partner of each section basis vector
-        pos = {(p, w): i for i, (p, w) in
-               enumerate(zip(self.src_level1, self.weights1)) if p >= 0}
-        self.img_index0 = np.array(
-            [pos.get((p, w), -1) for p, w in zip(self.level0, self.weights0)],
-            dtype=int)
-
     def _build_operators(self):
-        d = np.zeros((self.dim1, self.dim0))
-        for i0, i1 in enumerate(self.img_index0):
-            if i1 >= 0:
-                d[i1, i0] = self.lam0[i0]
-        self.dbar_mat = d
-        h = np.zeros((self.dim0, self.dim1))
-        for i0, i1 in enumerate(self.img_index0):
-            if i1 >= 0:
-                h[i0, i1] = 1.0 / self.lam0[i0]
-        self.hom_mat = h
-        self.proj0_mat = np.diag((self.lam0 == 0.0).astype(float))
-        harm = np.zeros(self.dim1)
-        harm[:self.n_harm1] = 1.0
-        self.proj1_mat = np.diag(harm)
+        # on the total space: sections, then forms
+        dim0, dim = self.dim0, self.dim0 + self.dim1
+        i0, i1 = np.array(self._image_pairs, dtype=int).reshape(-1, 2).T
+        lam = self.lam0[i0]
+        self.dbar = Gather(dim, dim0 + i1, i0, lam)
+        self.hom = Gather(dim, i0, dim0 + i1, 1.0 / lam)
+        harm = np.concatenate([np.nonzero(self.lam0 == 0.0)[0],
+                               dim0 + np.arange(self.n_harm1)])
+        self.proj = Gather(dim, harm, harm, 1.0)
+        dt, ht, pt = self.dbar.dense(), self.hom.dense(), self.proj.dense()
+        self.dbar_mat, self.hom_mat = dt[dim0:, :dim0], ht[:dim0, dim0:]
+        self.proj0_mat, self.proj1_mat = pt[:dim0, :dim0], pt[dim0:, dim0:]
 
         labels = (["s[p=%d,w=%d]" % (p, w) for p, w in zip(self.level0, self.weights0)]
                   + ["h[w=%d]" % w for w in self.weights1[:self.n_harm1]]
@@ -217,22 +211,11 @@ class LineBundleModel:
         self.space1 = BigradedSpace(labels[self.dim0:], degrees[self.dim0:])
         self.total_space = BigradedSpace(labels, degrees)
 
-        dim = self.dim0 + self.dim1
-        dt = np.zeros((dim, dim))
-        dt[self.dim0:, :self.dim0] = self.dbar_mat
         self.dbar_total = GradedMap(self.total_space, self.total_space, (1, 0), dt)
-        ht = np.zeros((dim, dim))
-        ht[:self.dim0, self.dim0:] = self.hom_mat
         self.homotopy_total = GradedMap(self.total_space, self.total_space, (-1, 0), ht)
-        pt = np.zeros((dim, dim))
-        pt[:self.dim0, :self.dim0] = self.proj0_mat
-        pt[self.dim0:, self.dim0:] = self.proj1_mat
         self.projector_total = GradedMap(self.total_space, self.total_space, (0, 0), pt)
 
     # -- spectral operators -----------------------------------------------
-
-    def projector_mat(self, degree):
-        return self.proj0_mat if degree == 0 else self.proj1_mat
 
     def dim(self, degree):
         return self.dim0 if degree == 0 else self.dim1

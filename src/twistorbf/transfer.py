@@ -13,6 +13,9 @@ right factor's degree against everything it jumps over; deg(H lam_t) is
 1 - t, so only even t contributes, against the sum of the first s input
 degrees.
 
+H is a `Gather`, applied to the stacked products as a column gather; the
+root p of the plain contraction picks the harmonic coordinates.
+
 Brackets are graded antisymmetrizations over argument orderings.  Matrix
 coefficients ride along as ordered products, so the scalar structure
 tensors computed once serve every coefficient rank.
@@ -25,7 +28,7 @@ which is summed until it terminates (nilpotency is checked, not assumed).
 import numpy as np
 from itertools import combinations, permutations
 
-from .graded import koszul_sign_permutation
+from .graded import Gather, koszul_sign_permutation, support_max
 from .gcomplex import GComplex
 from .sphere import LineBundleModel
 
@@ -83,7 +86,7 @@ def heisenberg_dga():
     product of the two surviving degree-1 classes is exact, so the
     arity-3 transferred operation is visible by hand.
 
-    Returns (algebra, d, H, proj, degrees).
+    Returns (algebra, d, H, proj, degrees), with d, H and proj gathers.
     """
     masks = [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
     index = {m: i for i, m in enumerate(masks)}
@@ -102,20 +105,19 @@ def heisenberg_dga():
                         sign = -sign
             C[i, j, index[mi | mj]] = sign
     degrees = np.array([bin(m).count("1") for m in masks])
-    d = np.zeros((dim, dim))
-    d[index[0b011], index[0b100]] = 1.0      # d e3 = e1 e2
-    H = np.zeros((dim, dim))
-    H[index[0b100], index[0b011]] = 1.0
-    proj = np.eye(dim)
-    proj[index[0b100], index[0b100]] = 0.0
-    proj[index[0b011], index[0b011]] = 0.0
+    e3, e12 = index[0b100], index[0b011]
+    d = Gather(dim, [e12], [e3], 1.0)      # d e3 = e1 e2
+    H = Gather(dim, [e3], [e12], 1.0)
+    keep = [i for i in range(dim) if i not in (e3, e12)]
+    proj = Gather(dim, keep, keep, 1.0)
     return DenseAlgebra(C, degrees), d, H, proj, degrees
 
 
 class Contraction:
     """Validated (i, p, H) retraction data over a product-bearing complex.
 
-    The projector must be a coordinate projector, diagonal with entries 0
+    d, H and the projector are `Gather`s, so the side conditions are
+    checked entry by entry.  The projector must be diagonal with entries 0
     and 1 (every one built here is), so the inclusion picks basis vectors
     and p is its transpose.  Violated side conditions raise with the
     offending residual; pass a pairing matrix to also check isotropy and
@@ -125,15 +127,21 @@ class Contraction:
     def __init__(self, algebra, d, homotopy, proj, degrees, pairing=None,
                  tol=1e-8, label=""):
         self.algebra = algebra
-        self.d = np.asarray(d, dtype=complex)
-        self.H = np.asarray(homotopy, dtype=complex)
-        self.proj = np.asarray(proj, dtype=complex)
+        self.d, self.H, self.proj = d, homotopy, proj
         self.degrees = np.asarray(degrees, dtype=int)
         self.pairing = None if pairing is None else np.asarray(
             pairing, dtype=complex)
         self.label = label
         self.dim = self.d.shape[0]
-        idx = self._harmonic_index()
+        # the basis vectors the projector keeps; it must be diagonal 0/1
+        P = self.proj
+        diag = np.where(P.col == np.arange(self.dim), P.val.real, 0.0)
+        off, idem = _amax(P.val - diag), _amax(diag * (1.0 - diag))
+        if not (off < 1e-12 and idem < 1e-12):
+            raise ValueError("projector is not a diagonal 0/1 matrix: "
+                             "off-diagonal residual %.3e, idempotence "
+                             "residual %.3e" % (off, idem))
+        idx = self.harm_index = np.nonzero(diag > 0.5)[0]
         self.i_mat = np.zeros((self.dim, len(idx)))
         self.i_mat[idx, np.arange(len(idx))] = 1.0
         self.p_mat = self.i_mat.T.copy()
@@ -141,72 +149,57 @@ class Contraction:
         self.harm_degrees = self.degrees[idx]
         self._validate(tol)
 
-    def _harmonic_index(self):
-        """Basis vectors the projector keeps; it must be diagonal 0/1."""
-        diag = np.real(np.diag(self.proj))
-        off = _amax(self.proj - np.diag(diag))
-        idem = _amax(diag * (1.0 - diag))
-        if not (off < 1e-12 and idem < 1e-12):
-            raise ValueError("projector is not a diagonal 0/1 matrix: "
-                             "off-diagonal residual %.3e, idempotence "
-                             "residual %.3e" % (off, idem))
-        return np.nonzero(diag > 0.5)[0]
-
     def _validate(self, tol):
+        d, H, P = self.d, self.H, self.proj
+        eye = Gather(self.dim, slice(None), np.arange(self.dim), 1.0)
         checks = {}
-        eye = np.eye(self.dim)
-        checks["projector idempotent"] = np.abs(
-            self.proj @ self.proj - self.proj).max()
-        checks["chain identity"] = np.abs(
-            self.d @ self.H + self.H @ self.d - (eye - self.proj)).max()
-        checks["homotopy squares to zero"] = np.abs(self.H @ self.H).max()
-        checks["homotopy annihilates harmonics"] = _amax(
-            self.H @ self.i_mat)
-        checks["projector kills homotopy range"] = np.abs(
-            self.proj @ self.H).max()
+        checks["projector idempotent"] = support_max(
+            lambda a, b: a - b, P @ P, P)
+        checks["chain identity"] = support_max(
+            lambda a, b, e, p: a + b - (e - p), d @ H, H @ d, eye, P)
+        checks["homotopy squares to zero"] = support_max(abs, H @ H)
+        checks["homotopy annihilates harmonics"] = support_max(abs, H @ P)
+        checks["projector kills homotopy range"] = support_max(abs, P @ H)
         checks["inclusion splits projection"] = _amax(
             self.p_mat @ self.i_mat - np.eye(self.nharm))
         if self.pairing is not None:
             M = self.pairing
-            checks["homotopy range isotropic"] = np.abs(
-                self.H.T @ M @ self.proj).max()
+            HtM = (M.T @ H).T
+            checks["homotopy range isotropic"] = np.abs(HtM @ P).max()
             sgn = np.where(self.degrees % 2, -1.0, 1.0)
             checks["homotopy self-adjoint"] = np.abs(
-                self.H.T @ M - sgn[:, None] * (M @ self.H)).max()
+                HtM - sgn[:, None] * (M @ H)).max()
         self.side_conditions = checks
         for name, val in checks.items():
             if not val < tol:
                 raise ValueError("side condition failed: %s residual %.3e"
                                  % (name, val))
 
-    def perturbed(self, d2, max_terms=8, tol=1e-12):
+    def perturbed(self, d2=None, max_terms=8, tol=1e-12):
         """Leaf and root corrections for a second differential d2.
 
         In this chain-identity convention the homotopy enters the
         geometric series with a minus: psi = sum (-H d2)^k i and
         phi = sum p (-d2 H)^k, with m1 = phi (d + d2) psi.  The series
-        must terminate; nilpotency is checked, not assumed.
+        must terminate; nilpotency is checked, not assumed.  Without d2
+        this is (i, p, p d i).
         """
-        d2 = np.asarray(d2, dtype=complex)
         psi = self.i_mat.astype(complex)
-        term = psi
-        for _ in range(max_terms):
-            term = -self.H @ (d2 @ term)
-            if np.abs(term).max() < tol:
-                break
-            psi = psi + term
-        else:
-            raise ValueError("homotopy-d2 series did not terminate")
         phi = self.p_mat.astype(complex)
-        term = phi
-        for _ in range(max_terms):
-            term = -(term @ d2) @ self.H
-            if np.abs(term).max() < tol:
-                break
-            phi = phi + term
-        else:
-            raise ValueError("d2-homotopy series did not terminate")
-        m1 = phi @ (self.d + d2) @ psi
+        if d2 is None:
+            return psi, phi, phi @ self.d @ psi
+        d2 = np.asarray(d2, dtype=complex)
+        def series(out, step, name):
+            term = out
+            for _ in range(max_terms):
+                term = step(term)
+                if np.abs(term).max() < tol:
+                    return out
+                out = out + term
+            raise ValueError("%s series did not terminate" % name)
+        psi = series(psi, lambda t: -(self.H @ (d2 @ t)), "homotopy-d2")
+        phi = series(phi, lambda t: -((t @ d2) @ self.H), "d2-homotopy")
+        m1 = (phi @ self.d + phi @ d2) @ psi
         return psi, phi, m1
 
 
@@ -214,17 +207,14 @@ def build_contraction(source, tol=1e-8):
     """Contraction of either the sheaf complex or a single line bundle."""
     if isinstance(source, GComplex):
         pairing = None if source.extended else source.pairing_matrix().matrix
-        return Contraction(source, source.dbar_full, source.hom_full,
-                           source.proj_full,
+        return Contraction(source, source.dbar, source.hom, source.proj,
                            source.space.reduced_degrees(),
                            pairing=pairing, tol=tol,
                            label="sheaf L=%d%s" % (
                                source.truncation,
                                " ext" if source.extended else ""))
     if isinstance(source, LineBundleModel):
-        return Contraction(None, source.dbar_total.matrix,
-                           source.homotopy_total.matrix,
-                           source.projector_total.matrix,
+        return Contraction(None, source.dbar, source.hom, source.proj,
                            source.total_space.reduced_degrees(),
                            tol=tol, label="O(%d)" % source.n)
     raise TypeError("no contraction recipe for %r" % type(source))
@@ -348,24 +338,26 @@ def transfer(con, max_arity=4, d2=None):
         raise ValueError("arity %d tensor too large at %d harmonics"
                          % (max_arity, con.nharm))
     nh, dim = con.nharm, con.dim
-    if d2 is None:
-        psi = con.i_mat.astype(complex)
-        phi = con.p_mat.astype(complex)
-        m1 = phi @ con.d @ psi
-    else:
-        psi, phi, m1 = con.perturbed(d2)
+    psi, P, m1 = con.perturbed(d2)            # leaf columns, root rows
     H = con.H
     degs = con.harm_degrees
     kap1 = np.where(degs % 2, -1.0, 1.0)
 
+    def hom(X):
+        # H applied to each row of the stack X
+        return X.reshape(-1, dim)[:, H.col] * H.val
+
+    def root(x):        # the plain root p picks the harmonic coordinates
+        return (x[..., con.harm_index] if d2 is None
+                else np.einsum("...d,pd->...p", x, P))
+
     W1 = -psi.T                               # (nh, dim) leaf rows
-    P = phi                                   # (nh, dim) root rows
     ops = {1: m1}
 
     Lam2 = alg.product_batch(W1, W1)          # (nh, nh, dim)
-    ops[2] = np.einsum("abd,pd->abp", Lam2, P)
+    ops[2] = root(Lam2)
     if max_arity >= 3:
-        W2 = np.einsum("abd,ed->abe", Lam2, H).reshape(nh * nh, dim)
+        W2 = hom(Lam2)
         del Lam2
         m3 = np.zeros((nh, nh, nh, nh), dtype=complex)
         m4 = np.zeros((nh,) * 5, dtype=complex) if max_arity >= 4 else None
@@ -379,10 +371,9 @@ def transfer(con, max_arity=4, d2=None):
                 W2[lo * nh:hi * nh], W1).reshape(hi - lo, nh, nh, dim)
             block = T1 - T2
             del T1, T2
-            m3[lo:hi] = np.einsum("abcd,pd->abcp", block, P)
+            m3[lo:hi] = root(block)
             if m4 is not None:
-                W3 = np.einsum("abcd,ed->abce", block, H).reshape(
-                    (hi - lo) * nh * nh, dim)
+                W3 = hom(block)
                 # (3,1): +mu(H lam_3, W1), chunk covers the head index
                 m4[lo:hi] += alg.product_contract(W3, W1, P).reshape(
                     hi - lo, nh, nh, nh, nh)
@@ -412,7 +403,7 @@ def harmonic_pairing(con):
     """Pairing matrix restricted to the harmonic basis."""
     if con.pairing is None:
         raise ValueError("contraction carries no pairing")
-    return con.i_mat.T @ con.pairing @ con.i_mat
+    return con.pairing[np.ix_(con.harm_index, con.harm_index)]
 
 
 def random_homogeneous(degrees, rng, r, rank=None):
@@ -547,21 +538,18 @@ def quasi_iso_linear(con, d2=None):
     transferred differential, and the rank bookkeeping showing the induced
     map on cohomology is an isomorphism.
     """
-    from scipy.linalg import null_space
-    if d2 is None:
-        psi = con.i_mat.astype(complex)
-        m1 = (con.p_mat @ con.d @ con.i_mat).astype(complex)
-        dtot = con.d
-    else:
-        psi, _, m1 = con.perturbed(d2)
-        dtot = con.d + np.asarray(d2, dtype=complex)
+    psi, _, m1 = con.perturbed(d2)
+    # the rank counts need d dense
+    dtot = con.d.dense() + (0 if d2 is None else np.asarray(d2, complex))
     cochain = _amax(dtot @ psi - psi @ m1)
     rk_d = np.linalg.matrix_rank(dtot, tol=1e-8)
     rk_1 = np.linalg.matrix_rank(m1, tol=1e-10) if con.nharm else 0
     dim_h_target = con.dim - 2 * rk_d
     dim_h_source = con.nharm - 2 * rk_1
     if con.nharm:
-        ker = null_space(m1, rcond=1e-10)
+        # null space of m1 by scipy's rule: cut at 1e-10 of the largest
+        _, s, vh = np.linalg.svd(m1)
+        ker = vh[np.sum(s > 1e-10 * s.max()):].conj().T
         stacked = np.hstack([dtot, psi @ ker])
         induced = np.linalg.matrix_rank(stacked, tol=1e-8) - rk_d
     else:

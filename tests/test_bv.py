@@ -172,7 +172,7 @@ def test_extended_complex_rejected():
 
 
 def test_corrupted_differential_detected():
-    bad = DATA.dbar.copy()
+    bad = G.dbar_full.copy()
     i, j = np.argwhere(np.abs(bad) > 0.1)[5]
     bad[i, j] *= 1.37
     out = bv.master_equation_residual(bv.BFData(G, rank=2, dbar=bad),

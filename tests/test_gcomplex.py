@@ -269,6 +269,32 @@ def test_dense_maps_are_the_report_blocks():
         assert not np.any(rest)
 
 
+def _kron_oracle(g):
+    """dbar, H, P and the harmonic indices as kron(I_mult, model matrix)
+    blocks, the construction the gathers replaced."""
+    ops, harm = ({}, {}, {}), []
+    for bi, b in enumerate(g.blocks):
+        eye, m = np.eye(b.mult), b.model
+        p0, p1 = (bi, 0), (bi, 1)
+        ops[0][(p1, p0)] = np.kron(eye, m.dbar_mat)
+        ops[1][(p0, p1)] = np.kron(eye, m.hom_mat)
+        ops[2][(p0, p0)] = np.kron(eye, m.proj0_mat)
+        ops[2][(p1, p1)] = np.kron(eye, m.proj1_mat)
+        for q, pm in ((0, m.proj0_mat), (1, m.proj1_mat)):
+            diag = np.tile(np.diag(pm), b.mult)
+            harm.append(g.offsets[(bi, q)] + np.nonzero(diag > 0.5)[0])
+    return [g._dense(o) for o in ops] + [np.concatenate(harm).astype(int)]
+
+
+@pytest.mark.parametrize("trunc,ext", [(5, False), (5, True), (8, True)])
+def test_gathers_match_kron_blocks(trunc, ext):
+    g = GE if (trunc, ext) == (L, True) else GComplex(trunc, extended=ext)
+    got = (g.dbar_full, g.hom_full, g.proj_full, g.harmonic_indices)
+    for a, b in zip(got, _kron_oracle(g)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
 def test_signed_insertion_negates_form_columns():
     s = np.ones(GE.dim)
     for bi in range(len(GE.blocks)):

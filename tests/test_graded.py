@@ -2,15 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistorbf.graded import (
     BiDegree,
     BigradedSpace,
+    Gather,
     GradedMap,
     Pairing,
     cohomology,
     koszul_sign,
     koszul_sign_permutation,
+    support_max,
 )
 
 
@@ -171,3 +174,61 @@ def test_pairing_checks():
     m_full = np.eye(3)
     sp0 = BigradedSpace(["u", "v", "w"], [(0, 0), (0, 0), (0, 0)])
     assert Pairing(sp0, m_full, parity=0).nondegeneracy() == pytest.approx(1.0)
+
+
+# -- the one-nonzero-per-row gather -------------------------------------------
+
+def _gather(draw, n, cplx):
+    col = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                 max_size=n)), dtype=int)
+    # some rows empty, values of either sign, complex on request
+    val = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 0.3]),
+                                 min_size=n, max_size=n)))
+    if cplx:
+        val = val * np.exp(1j * np.array(draw(st.lists(
+            st.floats(-3.0, 3.0), min_size=n, max_size=n))))
+    return Gather(n, np.arange(n), col, val)
+
+
+@st.composite
+def _gather_case(draw):
+    n = draw(st.integers(1, 7))
+    cplx = draw(st.booleans())
+    a, b = _gather(draw, n, cplx), _gather(draw, n, draw(st.booleans()))
+    seed = draw(st.integers(0, 2 ** 16))
+    return a, b, np.random.default_rng(seed)
+
+
+@given(case=_gather_case())
+@settings(max_examples=60, deadline=None)
+def test_gather_matches_its_dense_form(case):
+    a, b, rng = case
+    n = a.shape[0]
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    da, db = a.dense(), b.dense()
+    assert da.shape == (n, n)
+    assert np.all(np.count_nonzero(da, axis=1) <= 1)
+    np.testing.assert_allclose(a @ x, da @ x, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(a @ x[:, 0], da @ x[:, 0], rtol=1e-14,
+                               atol=1e-14)
+    np.testing.assert_allclose(x.T @ a, x.T @ da, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(x[:, 0] @ a, x[:, 0] @ da, rtol=1e-14,
+                               atol=1e-14)
+    np.testing.assert_allclose((a @ b).dense(), da @ db, rtol=1e-14,
+                               atol=1e-14)
+    # an empty gather row gives an empty row of every product
+    empty = a.val == 0
+    assert not np.any((a @ x)[empty])
+    assert not np.any((a @ b).dense()[empty])
+
+
+def test_gather_constructor_and_support_max():
+    a = Gather(4, [0, 2], [3, 1], [2.0, -1.0])
+    want = np.zeros((4, 4))
+    want[0, 3], want[2, 1] = 2.0, -1.0
+    assert np.array_equal(a.dense(), want)
+    b = Gather(4, [0, 3], [3, 3], [0.5, 4.0])
+    # evaluated where either is nonzero, as the dense difference
+    assert support_max(lambda u, v: u - v, a, b) == np.abs(
+        want - b.dense()).max()
+    assert support_max(abs, Gather(3, [], [], [])) == 0.0

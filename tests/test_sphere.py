@@ -260,6 +260,32 @@ def test_rotation_matches_inline_formula(n, degree, row):
         np.einsum("ig,g,jg->ji", want, wfac, vals.conj()))
 
 
+def test_operators_match_level_weight_pairing():
+    # oracle: the dense dbar, H and P built from the image form of each
+    # section found by its (level, weight), as before the gathers
+    for n in range(-8, 9):
+        m = build_model(n, abs(n) + 4)
+        pos = {(p, w): i for i, (p, w) in
+               enumerate(zip(m.src_level1, m.weights1)) if p >= 0}
+        d = np.zeros((m.dim1, m.dim0))
+        h = np.zeros((m.dim0, m.dim1))
+        for i0, (p, w) in enumerate(zip(m.level0, m.weights0)):
+            if (p, w) in pos:
+                d[pos[(p, w)], i0] = m.lam0[i0]
+                h[i0, pos[(p, w)]] = 1.0 / m.lam0[i0]
+        harm = np.zeros(m.dim1)
+        harm[:m.n_harm1] = 1.0
+        for got, want in ((m.dbar_mat, d), (m.hom_mat, h),
+                          (m.proj0_mat, np.diag((m.lam0 == 0.0) * 1.0)),
+                          (m.proj1_mat, np.diag(harm))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        for gather, total in ((m.dbar, m.dbar_total),
+                              (m.hom, m.homotopy_total),
+                              (m.proj, m.projector_total)):
+            assert np.array_equal(gather.dense(), total.matrix)
+
+
 def test_projector_annihilated_by_laplacian():
     for n in (-3, 1):
         m = build_model(n, levels=4)

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from twistorbf.gcomplex import GComplex
+from twistorbf.graded import Gather
 from twistorbf.sphere import build_model
 from twistorbf.transfer import (
     Contraction, DenseAlgebra, Transferred, build_contraction,
@@ -98,25 +103,28 @@ class TestToy:
         assert max(lr.values()) > 1e-3
 
     def test_violated_side_condition_raises(self):
-        H = self.H.copy()
-        H[0, 4] = 0.2            # homotopy now leaks onto a harmonic
+        col, val = self.H.col.copy(), self.H.val.copy()
+        col[0], val[0] = 4, 0.2   # homotopy now leaks onto a harmonic
         with pytest.raises(ValueError, match="residual"):
-            Contraction(self.alg, self.d, H, self.proj, self.degs)
+            Contraction(self.alg, self.d, Gather(8, np.arange(8), col, val),
+                        self.proj, self.degs)
 
     def test_non_coordinate_projector_raises(self):
-        # the inclusion is read off a diagonal 0/1 projector; a rotated
-        # projector or a non-idempotent diagonal is refused, naming its
-        # residual
+        # the inclusion is read off a diagonal 0/1 projector; one with an
+        # off-diagonal entry or a non-idempotent diagonal is refused,
+        # naming its residual
         c, s = np.cos(0.3), np.sin(0.3)
-        rot = np.eye(8)
-        rot[np.ix_([2, 3], [2, 3])] = [[c, -s], [s, c]]   # e2 kept, e3 not
+        col, val = self.proj.col.copy(), self.proj.val.copy()
+        col[3], val[3] = 2, c * s     # e3 picks up part of e2
         with pytest.raises(ValueError, match="off-diagonal residual 2.82"):
-            Contraction(self.alg, self.d, self.H, rot @ self.proj @ rot.T,
-                        self.degs)
-        half = self.proj.copy()
-        half[0, 0] = 0.5
+            Contraction(self.alg, self.d, self.H,
+                        Gather(8, np.arange(8), col, val), self.degs)
+        val = self.proj.val.copy()
+        val[0] = 0.5
         with pytest.raises(ValueError, match="idempotence residual 2.5"):
-            Contraction(self.alg, self.d, self.H, half, self.degs)
+            Contraction(self.alg, self.d, self.H,
+                        Gather(8, np.arange(8), self.proj.col, val),
+                        self.degs)
 
 
 class TestLineBundles:
@@ -268,3 +276,60 @@ def test_ordered_apply_matches_einsum(arity, kinds):
     want = _ordered_apply_oracle(T, xs)
     assert got.shape == want.shape
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+
+def _dense_transfer(con):
+    """m_1 .. m_4 with the dense H and P contracted by plain einsums, the
+    path the gathers replaced (one chunk, no second differential)."""
+    alg, nh, dim = con.algebra, con.nharm, con.dim
+    H = con.H.dense().astype(complex)
+    P = con.p_mat.astype(complex)
+    psi = con.i_mat.astype(complex)
+    kap1 = np.where(con.harm_degrees % 2, -1.0, 1.0)
+    W1 = -psi.T
+    Lam2 = alg.product_batch(W1, W1)
+    m = {1: P @ con.d.dense().astype(complex) @ psi,
+         2: np.einsum("abd,pd->abp", Lam2, P)}
+    W2 = np.einsum("abd,ed->abe", Lam2, H).reshape(nh * nh, dim)
+    T1 = alg.product_batch(W1, W2).reshape(nh, nh, nh, dim)
+    T1 *= kap1[:, None, None, None]
+    block = T1 - alg.product_batch(W2, W1).reshape(nh, nh, nh, dim)
+    m[3] = np.einsum("abcd,pd->abcp", block, P)
+    W3 = np.einsum("abcd,ed->abce", block, H).reshape(nh ** 3, dim)
+    m4 = alg.product_contract(W3, W1, P).reshape((nh,) * 5)
+    m4 += alg.product_contract(W1, W3, P).reshape((nh,) * 5)
+    kap2 = np.einsum("a,b->ab", kap1, kap1).reshape(-1)
+    m4 -= alg.product_contract(W2 * kap2[:, None], W2, P).reshape((nh,) * 5)
+    m[4] = m4
+    return m
+
+
+@pytest.mark.parametrize("which", ["sheaf4", "toy"])
+def test_transfer_matches_dense_einsum_path(which):
+    if which == "toy":
+        alg, d, H, proj, degs = heisenberg_dga()
+        con = Contraction(alg, d, H, proj, degs)
+    else:
+        con = build_contraction(GComplex(4))
+    got = transfer(con, max_arity=4).m
+    want = _dense_transfer(con)
+    for n in range(1, 5):
+        assert np.array_equal(got[n], want[n]), n
+
+
+def test_check_path_leaves_scipy_unloaded():
+    code = ("import sys\n"
+            "from twistorbf.gcomplex import GComplex\n"
+            "from twistorbf.transfer import (build_contraction,\n"
+            "    quasi_iso_linear, transfer)\n"
+            "con = build_contraction(GComplex(3))\n"
+            "transfer(con, max_arity=4)\n"
+            "assert quasi_iso_linear(con)['isomorphism']\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
