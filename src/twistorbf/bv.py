@@ -49,6 +49,7 @@ and merges masks with the same table.
 import numpy as np
 
 from .gcomplex import GComplex
+from .graded import merge_sign
 
 __all__ = [
     "BFData", "SuperField", "bv_action", "master_equation_residual",
@@ -60,22 +61,9 @@ def _popcount(mask):
     return bin(mask).count("1")
 
 
-def _interleave_sign(s, t):
-    """Sign of sorting the generator product theta_s theta_t, s, t disjoint."""
-    sign = 1
-    rest = s
-    while rest:
-        low = rest & -rest
-        # generators of t below this one must move past it
-        if _popcount(t & (low - 1)) % 2:
-            sign = -sign
-        rest ^= low
-    return sign
-
-
 def _term_sign(s, t, parity_y):
     """Sign of (c_s theta_s)(c_t theta_t) -> (c_s c_t) theta_{s|t}."""
-    sign = _interleave_sign(s, t)
+    sign = merge_sign(s, t)
     if _popcount(s) % 2 and (parity_y + _popcount(t)) % 2:
         sign = -sign
     return sign
@@ -145,7 +133,7 @@ class SuperField(object):
     def plus(self, other):
         if other.parity != self.parity:
             raise ValueError("parity mismatch in field sum")
-        out = {s: c.copy() for s, c in self.terms.items()}
+        out = dict(self.terms)
         for s, c in other.terms.items():
             out[s] = out[s] + c if s in out else c
         return SuperField(out, self.parity)

@@ -39,9 +39,11 @@ Linear operators are stored in the shape they have: dbar, the homotopy H
 and the harmonic projector P as one `graded.Gather` each (`dbar`, `hom`,
 `proj`: the models' gathers on every multiplicity copy), the insertion
 d_iota and the quotient map eps as the dense blocks of the tautological
-sequences, keyed by (target piece, source piece).  The dense n x n forms
-(`dbar_full`, `hom_full`, `proj_full`, `d_iota_full`, `d_iota_signed`,
-`eps_matrix`) are assembled on first access and then cached.
+sequences, keyed by (target piece, source piece).  The d_iota blocks carry
+the form-degree sign that makes d_iota anticommute with dbar, and
+`insertion` applies them block by block.  The dense n x n forms
+(`dbar_full`, `hom_full`, `proj_full`, `d_iota_signed`, `eps_matrix`) are
+assembled on first access and then cached; the suites read none of them.
 
 All caches are per-instance, the line bundle models included (an extended
 complex shares its models with its quotient), and filled lazily; instances
@@ -351,19 +353,18 @@ class GComplex:
     hom_full = functools.cached_property(lambda self: self.hom.dense())
     proj_full = functools.cached_property(lambda self: self.proj.dense())
 
-    @functools.cached_property
-    def d_iota_full(self):
-        return self._dense(self.iota_blocks)
+    d_iota_signed = functools.cached_property(
+        lambda self: self._dense(self.iota_blocks))
+    eps_matrix = functools.cached_property(
+        lambda self: self._dense(self.eps_blocks, rows=self.quotient))
 
-    @functools.cached_property
-    def d_iota_signed(self):
-        # the sign twist by form degree makes d_iota anticommute with dbar
-        return self._dense({(t, s): -blk if s[1] == 1 else blk
-                            for (t, s), blk in self.iota_blocks.items()})
-
-    @functools.cached_property
-    def eps_matrix(self):
-        return self._dense(self.eps_blocks, rows=self.quotient)
+    def insertion(self, x):
+        """d_iota x, block by block; x is shaped (dim, ...)."""
+        x, out = np.asarray(x), np.zeros(np.shape(x), dtype=complex)
+        for ((bt, qt), (bs, qs)), blk in self.iota_blocks.items():
+            out[self.block_slice(bt, qt)] += np.tensordot(
+                blk, x[self.block_slice(bs, qs)], axes=1)
+        return out
 
     def _find_block(self, ext, hom, part):
         for bi, b in enumerate(self.blocks):
@@ -564,7 +565,7 @@ class GComplex:
         return coeffs
 
     def _build_resolution_maps(self):
-        """Blocks of d_iota and eps, built from the _RESOLUTION table."""
+        """Blocks of d_iota (signed) and eps, from the _RESOLUTION table."""
         z, D = self.radial.z, self.radial.D
         rD = 1.0 / np.sqrt(D)
         # each factor as a (profile, torus weight) pair: z has weight 1
@@ -592,6 +593,8 @@ class GComplex:
                     for mt, ms, f, negate in pattern:
                         m = np.eye(ds) if f is None else coef[f]
                         blk[mt, :, ms, :] = -m if negate else m
+                    if iota and q:  # form-degree sign: anticommute with dbar
+                        blk = -blk
                     out[((bt, q), (bs, q))] = blk.reshape(tgt.mult * dt,
                                                           src.mult * ds)
 

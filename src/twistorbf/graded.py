@@ -10,6 +10,8 @@ transfer machinery build on.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -40,6 +42,32 @@ def koszul_sign(deg_a, deg_b):
     ra = deg_a.reduced if isinstance(deg_a, BiDegree) else int(deg_a)
     rb = deg_b.reduced if isinstance(deg_b, BiDegree) else int(deg_b)
     return -1 if (ra % 2) and (rb % 2) else 1
+
+
+def merge_sign(s, t):
+    """Sign of sorting the product of odd generators e_s e_t into e_{s|t},
+    for bit masks s and t: (-1) to the number of pairs (a in s, b in t)
+    with a > b, or 0 when the masks overlap."""
+    if s & t:
+        return 0
+    n = sum(bin(s >> (b + 1)).count("1") for b in range(t.bit_length())
+            if t >> b & 1)
+    return -1 if n % 2 else 1
+
+
+def exterior_algebra(n):
+    """Exterior algebra on n odd generators: the subset masks, ordered by
+    degree and then lexicographically, and the int8 structure tensor
+    C[i, j, k] = merge_sign(masks[i], masks[j]) for masks[k] their union."""
+    masks = [sum(1 << b for b in c) for k in range(n + 1)
+             for c in itertools.combinations(range(n), k)]
+    index = {m: i for i, m in enumerate(masks)}
+    C = np.zeros((len(masks),) * 3, dtype=np.int8)
+    for i, s in enumerate(masks):
+        for j, t in enumerate(masks):
+            if not s & t:
+                C[i, j, index[s | t]] = merge_sign(s, t)
+    return masks, C
 
 
 def koszul_sign_permutation(perm, degrees):

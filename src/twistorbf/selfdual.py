@@ -18,50 +18,28 @@ Conventions fixed here once and used everywhere downstream:
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .graded import BigradedSpace, Pairing, koszul_sign
+from .graded import BigradedSpace, Pairing, exterior_algebra, koszul_sign
 from .radial import hermitian_inner, monomial
 from .sphere import build_model
 
-SUBSETS = [()]
-for _k in range(1, 5):
-    SUBSETS.extend(itertools.combinations((1, 2, 3, 4), _k))
-SUBSETS = tuple(SUBSETS)
+_MASKS, _WEDGE = exterior_algebra(4)
+SUBSETS = tuple(tuple(b + 1 for b in range(4) if m >> b & 1) for m in _MASKS)
 SUB_INDEX = {s: i for i, s in enumerate(SUBSETS)}
 VOL_INDEX = SUB_INDEX[(1, 2, 3, 4)]
-
-
-def _merge_sign(I, J):
-    """Sign of sorting the concatenation I+J, or 0 if the subsets meet."""
-    if set(I) & set(J):
-        return 0
-    inv = sum(1 for a in I for b in J if a > b)
-    return -1 if inv % 2 else 1
 
 
 class ExteriorAlgebra4:
     """Lambda^*(R^4) on the subset basis, with wedge, metric and star."""
 
     def __init__(self):
-        n = len(SUBSETS)
-        self.dim = n
+        self.dim = len(SUBSETS)
         self.form_degree = np.array([len(s) for s in SUBSETS], dtype=int)
-        wedge = np.zeros((n, n, n), dtype=np.int8)
-        for i, I in enumerate(SUBSETS):
-            for j, J in enumerate(SUBSETS):
-                sgn = _merge_sign(I, J)
-                if sgn:
-                    wedge[i, j, SUB_INDEX[tuple(sorted(I + J))]] = sgn
-        self.wedge_tensor = wedge
-        star = np.zeros((n, n), dtype=np.int8)
-        for i, I in enumerate(SUBSETS):
-            Ic = tuple(sorted(set((1, 2, 3, 4)) - set(I)))
-            # e_I ^ (s e_Ic) = vol fixes s = merge sign of (I, Ic)
-            star[SUB_INDEX[Ic], i] = _merge_sign(I, Ic)
-        self.star_matrix = star
+        self.wedge_tensor = _WEDGE
+        # e_I ^ star(e_I) = vol: star(e_I) = s e_Ic, s the sign of the
+        # wedge e_I ^ e_Ic = s vol
+        self.star_matrix = _WEDGE[:, :, VOL_INDEX].T.copy()
 
     def basis_vector(self, I):
         v = np.zeros(self.dim)

@@ -28,7 +28,8 @@ which is summed until it terminates (nilpotency is checked, not assumed).
 import numpy as np
 from itertools import combinations, permutations
 
-from .graded import Gather, koszul_sign_permutation, support_max
+from .graded import (Gather, exterior_algebra, koszul_sign_permutation,
+                     support_max)
 from .gcomplex import GComplex
 from .sphere import LineBundleModel
 
@@ -88,22 +89,9 @@ def heisenberg_dga():
 
     Returns (algebra, d, H, proj, degrees), with d, H and proj gathers.
     """
-    masks = [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
+    masks, C = exterior_algebra(3)
     index = {m: i for i, m in enumerate(masks)}
     dim = 8
-    C = np.zeros((dim, dim, dim))
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if mi & mj:
-                continue
-            # sign: generators of mj crossing the higher generators of mi
-            sign = 1
-            for b in range(3):
-                if mj >> b & 1:
-                    higher = bin(mi >> (b + 1)).count("1")
-                    if higher % 2:
-                        sign = -sign
-            C[i, j, index[mi | mj]] = sign
     degrees = np.array([bin(m).count("1") for m in masks])
     e3, e12 = index[0b100], index[0b011]
     d = Gather(dim, [e12], [e3], 1.0)      # d e3 = e1 e2

@@ -218,6 +218,20 @@ def test_gmult_adds_up_over_single_masks():
     assert _max_rel(data.gmult(a, b), total) < 1e-12
 
 
+def test_plus_adds_termwise_and_leaves_operands():
+    rng = np.random.default_rng(32)
+    data = bv.BFData(G, rank=2, n_aux=2)
+    a, b = data.random_field(rng), data.random_field(rng)
+    b = bv.SuperField({0b100: b.terms[0], 0b1: b.terms[0b1]}, 1)
+    copies = [{s: c.copy() for s, c in f.terms.items()} for f in (a, b)]
+    for ab in (a.plus(b), b.plus(a)):
+        assert ab.terms.keys() == a.terms.keys() | b.terms.keys()
+        for s, c in ab.terms.items():
+            assert np.array_equal(c, a.terms.get(s, 0) + b.terms.get(s, 0))
+    for f, saved in zip((a, b), copies):
+        assert all(np.array_equal(f.terms[s], c) for s, c in saved.items())
+
+
 G3 = GComplex(3)
 
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,8 @@ from twistorbf.gcomplex import _RESOLUTION, GComplex
 from twistorbf.graded import BiDegree
 from twistorbf.radial import SphereGrid
 from twistorbf.sphere import LineBundleModel, build_model
+from twistorbf.suites import (SuiteConfig, _block_product, _blocks_max,
+                              htt_exactness, htt_side_conditions)
 
 L = 6
 G = GComplex(L, extended=False)
@@ -137,7 +143,7 @@ def test_insertion_left_leibniz():
 def test_total_differential_squares_to_zero():
     dt = GE.dbar_full + GE.d_iota_signed
     assert np.abs(dt @ dt).max() < 1e-12
-    assert np.abs(GE.d_iota_full @ GE.d_iota_full).max() == 0.0
+    assert np.abs(GE.d_iota_signed @ GE.d_iota_signed).max() == 0.0
 
 
 def test_trace_kills_image_and_pairing_matches_product():
@@ -173,7 +179,7 @@ def test_side_conditions():
 
 def test_quotient_map_structure():
     E = GE.eps_matrix
-    assert np.abs(E @ GE.d_iota_full).max() < 1e-12
+    assert np.abs(E @ GE.d_iota_signed).max() < 1e-12
     assert np.abs(E @ GE.dbar_full - GE.quotient.dbar_full @ E).max() < 1e-11
     rng = np.random.default_rng(7)
     x = low_level(GE, rng)
@@ -253,13 +259,13 @@ def test_left_mult_operator_matches_product_apply(g):
     assert _rel(got, g.product_apply(x, y)) < 1e-12
 
 
-DENSE = ("dbar_full", "hom_full", "proj_full", "d_iota_full",
-         "d_iota_signed", "eps_matrix")
+DENSE = ("dbar_full", "hom_full", "proj_full", "d_iota_signed",
+         "eps_matrix")
 
 
 def test_dense_maps_are_the_report_blocks():
     # the dense forms hold exactly the blocks exactness_report reads
-    for blocks, dense, rows in ((GE.iota_blocks, GE.d_iota_full, GE),
+    for blocks, dense, rows in ((GE.iota_blocks, GE.d_iota_signed, GE),
                                 (GE.eps_blocks, GE.eps_matrix, GE.quotient)):
         rest = dense.copy()
         for ((bt, qt), (bs, qs)), blk in blocks.items():
@@ -296,10 +302,45 @@ def test_gathers_match_kron_blocks(trunc, ext):
 
 
 def test_signed_insertion_negates_form_columns():
-    s = np.ones(GE.dim)
-    for bi in range(len(GE.blocks)):
-        s[GE.block_slice(bi, 1)] = -1.0
-    assert np.array_equal(GE.d_iota_signed, GE.d_iota_full * s)
+    # the grid oracle's unsigned blocks, negated on the form columns
+    g = GComplex(5, extended=True)
+    raw = grid_resolution_blocks(g, {}, signed=False)["iota"]
+    assert raw.keys() == g.iota_blocks.keys()
+    for ((bt, qt), (bs, qs)), blk in raw.items():
+        assert qt == qs and np.any(blk)
+        want = -blk if qs == 1 else blk
+        assert _rel(g.iota_blocks[((bt, qt), (bs, qs))], want) < 1e-13
+
+
+@pytest.mark.parametrize("trunc", [5, 8])
+def test_insertion_matches_dense(trunc):
+    g = GE if trunc == L else GComplex(trunc, extended=True)
+    rng = np.random.default_rng(11)
+    for x in (g.random_vector(rng), g.random_vector(rng, matrix_rank=2)):
+        want = np.tensordot(g.d_iota_signed, x, axes=1)
+        assert _rel(g.insertion(x), want) < 1e-15
+
+
+def test_block_product_matches_dense_products():
+    D = GE.iota_blocks
+    H = {((bi, 0), (bi, 1)): GE.hom_full[GE.block_slice(bi, 0),
+                                         GE.block_slice(bi, 1)]
+         for bi in range(len(GE.blocks))}
+    HD = _block_product(H, D)
+    assert np.array_equal(GE._dense(HD), GE.hom @ GE.d_iota_signed)
+    for a, b in ((D, D), (HD, HD)):
+        prod = _block_product(a, b)
+        assert not prod     # no source piece of d_iota is a target piece
+        dense = np.abs(GE._dense(a) @ GE._dense(b)).max()
+        assert _blocks_max(prod) == dense == 0.0
+
+
+def test_block_product_gives_compose_residual():
+    # eps after iota, block by block, is exactness_report's composition
+    for g in (GE, GComplex(5, extended=True)):
+        EI = _block_product(g.eps_blocks, g.iota_blocks)
+        want = max(r["compose_residual"] for r in g.exactness_report())
+        assert 0.0 < _blocks_max(EI) == want
 
 
 def test_dense_maps_are_cached():
@@ -362,7 +403,7 @@ def grid_pairing_matrix(g, cache):
     return P
 
 
-def grid_resolution_blocks(g, cache):
+def grid_resolution_blocks(g, cache, signed=True):
     z, D = g.grid.z, g.grid.D
     rD = 1.0 / np.sqrt(D)
     factors = {"1": rD, "z": z * rD, "-z": -z * rD, "zz": z * z / D,
@@ -383,6 +424,8 @@ def grid_resolution_blocks(g, cache):
                     m = (np.eye(ds) if f is None
                          else (np.conj(vt) * wfac) @ (vs * factors[f]).T)
                     blk[mt, :, ms, :] = -m if negate else m
+                if signed and name == "iota" and q == 1:
+                    blk = -blk      # the form-degree sign
                 out[name][((bt, q), (bs, q))] = blk.reshape(tgt.mult * dt,
                                                             src.mult * ds)
     return out
@@ -478,3 +521,38 @@ def test_complex_reads_no_values_on_its_grid(monkeypatch):
     rng = np.random.default_rng(10)
     g.product_apply(g.random_vector(rng), g.random_vector(rng))
     assert seen and set(seen) == {"RadialGrid"}
+
+
+def test_htt_checks_read_no_dense_insertion(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense d_iota read")
+
+    monkeypatch.setattr(GComplex, "d_iota_signed", property(refuse))
+    with pytest.raises(AssertionError, match="dense d_iota read"):
+        GComplex(5, extended=True).d_iota_signed
+    cfg = SuiteConfig(suite="htt", truncation=5)
+    for part in (htt_side_conditions, htt_exactness):
+        assert all(c["pass"] for c in part(cfg))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from procfs")
+def test_side_conditions_stay_small_at_truncation_12():
+    # the dense 6464 x 6464 d_iota alone is 668 MB.  A child's ru_maxrss
+    # starts at its parent's peak (Linux keeps the high-water mark across
+    # fork and exec), so the child reads its own address space's peak,
+    # VmHWM; one BLAS thread keeps thread buffers out of it
+    code = ("from twistorbf.suites import SuiteConfig, htt_side_conditions\n"
+            "checks = htt_side_conditions(SuiteConfig(truncation=12))\n"
+            "assert all(c['pass'] for c in checks)\n"
+            "print(open('/proc/self/status').read())\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    peak = [ln.split()[1] for ln in out.stdout.splitlines()
+            if ln.startswith("VmHWM:")]
+    assert int(peak[0]) < 1024 ** 2     # kB: 1 GB

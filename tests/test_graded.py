@@ -11,6 +11,7 @@ from twistorbf.graded import (
     GradedMap,
     Pairing,
     cohomology,
+    exterior_algebra,
     koszul_sign,
     koszul_sign_permutation,
     support_max,
@@ -232,3 +233,21 @@ def test_gather_constructor_and_support_max():
     assert support_max(lambda u, v: u - v, a, b) == np.abs(
         want - b.dense()).max()
     assert support_max(abs, Gather(3, [], [], [])) == 0.0
+
+
+def test_exterior_algebra_order_and_structure():
+    for n in range(6):
+        masks, C = exterior_algebra(n)
+        bits = [tuple(b for b in range(n) if m >> b & 1) for m in masks]
+        assert bits == sorted(bits, key=lambda I: (len(I), I))
+        assert sorted(masks) == list(range(2 ** n)) and C.dtype == np.int8
+        for i, s in enumerate(masks):
+            for j, t in enumerate(masks):
+                row = C[i, j]
+                if s & t:
+                    assert not row.any()
+                    continue
+                # e_s e_t = +-e_{s|t}, and graded commutative
+                assert np.count_nonzero(row) == 1
+                assert row[masks.index(s | t)] == (-1) ** (
+                    len(bits[i]) * len(bits[j])) * C[j, i, masks.index(s | t)]

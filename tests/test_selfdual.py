@@ -6,7 +6,7 @@ Everything here is exact arithmetic, so the assertions are equalities (or
 
 import numpy as np
 
-from twistorbf.graded import koszul_sign
+from twistorbf.graded import exterior_algebra, koszul_sign, merge_sign
 from twistorbf.selfdual import (
     A_ALG, EPS, EXT4, LAMBDA2_MINUS, LAMBDA2_PLUS, SPIN, SUB_INDEX, SUBSETS,
     U_ALG, VOL_INDEX, check_u_cohomology_iso, hodge_star,
@@ -42,6 +42,46 @@ def test_wedge_star_reproduces_inner_product():
             x, y = np.eye(16)[i], np.eye(16)[j]
             lhs = EXT4.wedge(x, EXT4.star(y))[VOL_INDEX]
             assert lhs == EXT4.inner(x, y)
+
+
+def _merge_sign(I, J):
+    """Tuple oracle: sign of sorting the concatenation I+J, 0 if they meet."""
+    if set(I) & set(J):
+        return 0
+    inv = sum(1 for a in I for b in J if a > b)
+    return -1 if inv % 2 else 1
+
+
+def _bits(m):
+    return tuple(b for b in range(m.bit_length()) if m >> b & 1)
+
+
+def test_merge_sign_matches_tuple_rule():
+    for s in range(64):
+        for t in range(64):
+            assert merge_sign(s, t) == _merge_sign(_bits(s), _bits(t))
+    for I in SUBSETS:
+        for J in SUBSETS:
+            mask = sum(1 << (a - 1) for a in I), sum(1 << (b - 1) for b in J)
+            assert merge_sign(*mask) == _merge_sign(I, J)
+
+
+def test_wedge_and_star_match_subset_loops():
+    # the subset-tuple construction the mask rule replaced
+    n = len(SUBSETS)
+    wedge = np.zeros((n, n, n), dtype=np.int8)
+    star = np.zeros((n, n), dtype=np.int8)
+    for i, I in enumerate(SUBSETS):
+        for j, J in enumerate(SUBSETS):
+            if _merge_sign(I, J):
+                wedge[i, j, SUB_INDEX[tuple(sorted(I + J))]] = \
+                    _merge_sign(I, J)
+        Ic = tuple(sorted(set((1, 2, 3, 4)) - set(I)))
+        star[SUB_INDEX[Ic], i] = _merge_sign(I, Ic)
+    for got, want in ((EXT4.wedge_tensor, wedge), (EXT4.star_matrix, star)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert SUBSETS[:6] == ((), (1,), (2,), (3,), (4,), (1, 2))
+    assert np.array_equal(exterior_algebra(4)[1], wedge)
 
 
 def test_wedge_graded_commutative():

@@ -317,6 +317,27 @@ def test_transfer_matches_dense_einsum_path(which):
         assert np.array_equal(got[n], want[n]), n
 
 
+def test_heisenberg_structure_matches_generator_loop():
+    # the construction loop the exterior algebra rule replaced
+    masks = [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
+    index = {m: i for i, m in enumerate(masks)}
+    C = np.zeros((8, 8, 8))
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            if mi & mj:
+                continue
+            sign = 1
+            for b in range(3):
+                if mj >> b & 1 and bin(mi >> (b + 1)).count("1") % 2:
+                    sign = -sign
+            C[i, j, index[mi | mj]] = sign
+    alg, _, _, _, degrees = heisenberg_dga()
+    want = np.asarray(C, dtype=complex)
+    assert alg.structure.dtype == want.dtype
+    assert np.array_equal(alg.structure, want)
+    assert list(degrees) == [bin(m).count("1") for m in masks]
+
+
 def test_check_path_leaves_scipy_unloaded():
     code = ("import sys\n"
             "from twistorbf.gcomplex import GComplex\n"
