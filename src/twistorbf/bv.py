@@ -144,14 +144,15 @@ class BFData(object):
     differential, ready for action and master equation evaluation.
 
     The pairing must be nondegenerate; the extended complex is refused
-    for that reason (its resolution columns pair with nothing).
+    for that reason (its resolution columns pair with several forms or
+    with none).
     """
 
-    def __init__(self, source, rank=2, cubic=True, n_aux=6, pairing=None,
-                 dbar=None, tol=1e-8):
+    def __init__(self, source, rank=2, cubic=True, n_aux=6, dbar=None,
+                 tol=1e-8):
         if not isinstance(source, GComplex):
             raise TypeError("source must be a GComplex")
-        if source.extended and pairing is None:
+        if source.extended:
             raise ValueError(
                 "trace pairing is degenerate on the extended complex; "
                 "build the data on the plain one")
@@ -160,48 +161,17 @@ class BFData(object):
         self.cubic = bool(cubic)
         self.n_aux = int(n_aux)
         self.dim = source.dim
-        if pairing is None:
-            pairing = source.pairing_matrix().matrix
-        self.pairing = np.asarray(pairing, dtype=complex)
-        svals = self._pairing_singular_values()
-        if svals.size == 0 or svals[0] == 0 or svals[-1] <= tol * svals[0]:
-            raise ValueError(
-                "degenerate trace pairing: smallest singular value %.3e "
-                "of %.3e" % (svals[-1] if svals.size else 0.0,
-                             svals[0] if svals.size else 0.0))
-        self.pairing_norm = svals[0]
+        pairing = source.pairing_matrix()
+        ratio = pairing.nondegeneracy()
+        if not ratio > tol:
+            raise ValueError("degenerate trace pairing: smallest singular "
+                             "value %.3e of the largest" % ratio)
+        self.pairing = pairing.matrix
+        self.pairing_norm = pairing.singular_values()[0]
         self.dbar = source.dbar if dbar is None else dbar
         red = source.space.reduced_degrees()
         self.parity_mask = (np.asarray(red) % 2).astype(bool)
         self._build_grid_tables()
-
-    def _pairing_singular_values(self):
-        """Singular values of the pairing, largest first, as a dense SVD
-        gives them, computed per connected component of its nonzero
-        block pattern over the block pieces.  Rows and columns no block
-        reaches, and the excess of a non-square component, add zeros."""
-        P = self.pairing
-        pieces = [np.arange(self.dim)[self.g.block_slice(bi, q)]
-                  for bi in range(len(self.g.blocks)) for q in (0, 1)]
-        nz = np.array([[np.any(P[np.ix_(r, c)]) for c in pieces]
-                       for r in pieces], dtype=int)
-        # row pieces linked through shared column pieces, closed
-        link = np.eye(len(pieces), dtype=int) + nz @ nz.T > 0
-        while True:
-            wider = link.astype(int) @ link > 0
-            if (wider == link).all():
-                break
-            link = wider
-        svals = []
-        for rows in {tuple(np.nonzero(r)[0]) for r in link}:
-            cols = np.nonzero(nz[list(rows)].any(axis=0))[0]
-            if cols.size:
-                ri = np.concatenate([pieces[i] for i in rows])
-                ci = np.concatenate([pieces[i] for i in cols])
-                svals.append(np.linalg.svd(P[np.ix_(ri, ci)],
-                                           compute_uv=False))
-        zeros = np.zeros(self.dim - sum(v.size for v in svals))
-        return np.sort(np.concatenate(svals + [zeros]))[::-1]
 
     def _build_grid_tables(self):
         g = self.g
@@ -262,10 +232,6 @@ class BFData(object):
         out = {s: (self.dbar @ c.reshape(self.dim, -1)).reshape(c.shape)
                for s, c in x.terms.items()}
         return SuperField(out, x.parity + 1)
-
-    def trace_value(self, c):
-        """Trace functional of a plain matrix-valued element."""
-        return np.einsum("a,app->", self.g.trace_vector, c)
 
     # -- grid representation ----------------------------------------------
 
@@ -419,7 +385,8 @@ def action_expansion_oracle(data, indices, coeffs):
     """
     idx = list(indices)
     n = len(idx)
-    quad = data.pairing @ data.dbar
+    pairing = data.pairing.dense()
+    quad = pairing @ data.dbar
     val = 0.0
     for i in range(n):
         for j in range(n):
@@ -436,7 +403,7 @@ def action_expansion_oracle(data, indices, coeffs):
             for j in range(n):
                 prod = basis_ops[idx[i]][:, idx[j]]
                 for l in range(n):
-                    c = data.pairing[:, idx[l]] @ prod
+                    c = pairing[:, idx[l]] @ prod
                     if c == 0.0:
                         continue
                     val += c / 6.0 * np.trace(

@@ -37,11 +37,12 @@ products of the bv module.
 
 Linear operators are stored in the shape they have: dbar, the homotopy H
 and the harmonic projector P as one `graded.Gather` each (`dbar`, `hom`,
-`proj`: the models' gathers on every multiplicity copy), the insertion
-d_iota and the quotient map eps as the dense blocks of the tautological
-sequences, keyed by (target piece, source piece).  The d_iota blocks carry
-the form-degree sign that makes d_iota anticommute with dbar, and
-`insertion` applies them block by block.  The dense n x n forms
+`proj`: the models' gathers on every multiplicity copy) and the trace
+pairing (Serre duality pairs each basis vector with one other), the
+insertion d_iota and the quotient map eps as the dense blocks of the
+tautological sequences, keyed by (target piece, source piece).  The d_iota
+blocks carry the form-degree sign that makes d_iota anticommute with dbar,
+and `insertion` applies them block by block.  The dense n x n forms
 (`dbar_full`, `hom_full`, `proj_full`, `d_iota_signed`, `eps_matrix`) are
 assembled on first access and then cached; the suites read none of them.
 
@@ -531,19 +532,31 @@ class GComplex:
         return out
 
     def pairing_matrix(self):
-        """Trace of the product on basis pairs; parity-3 odd pairing."""
+        """Trace of the product on basis pairs; parity-3 odd pairing.  Each
+        row keeps its largest entry, in a Gather; raises if the largest one
+        dropped reaches the 1e-9 relative leak bound of `_project_values`
+        (on the extended complex, resolution columns pair with several)."""
         if self._pairing is not None:
             return self._pairing
-        P = np.zeros((self.dim, self.dim), dtype=complex)
+        M, dropped = Gather(self.dim, [], [], 0j), 0.0
+        # the trace piece fixes the partner's (part, ext, hom, degree), so
+        # each row piece meets one column piece
         for bx, qx, by, qy, bt, qt, sgn, mt in self.wiring:
             if bt != self.trace_block or qt != 1:
                 continue
             px, _ = self._profiles(self.blocks[bx].model, qx)
             py, _ = self._profiles(self.blocks[by].model, qy)
             fp = _radial_sum(px, py, self._unit, self._radial_trace)[:, :, 0]
-            P[self.block_slice(bx, qx),
-              self.block_slice(by, qy)] += sgn * np.kron(mt.sum(axis=2), fp)
-        self._pairing = Pairing(self.space, P, parity=3)
+            blk = sgn * np.kron(mt.sum(axis=2), fp)
+            i, j = np.arange(len(blk)), np.abs(blk).argmax(axis=1)
+            M.col[self.block_slice(bx, qx)] = self.offsets[(by, qy)] + j
+            M.val[self.block_slice(bx, qx)], blk[i, j] = blk[i, j], 0.0
+            dropped = max(dropped, np.abs(blk).max(initial=0.0))
+        scale = max(np.abs(M.val).max(initial=0.0), 1.0)
+        if dropped >= 1e-9 * scale:
+            raise RuntimeError("pairing is not one entry per row: dropped "
+                               "entry %.2e" % (dropped / scale))
+        self._pairing = Pairing(self.space, M, parity=3, dropped=dropped)
         return self._pairing
 
     # -- extended structure ----------------------------------------------
@@ -599,15 +612,6 @@ class GComplex:
                                                           src.mult * ds)
 
     # -- reports ----------------------------------------------------------
-
-    def component_dims(self):
-        """Dimensions per part and reduced degree of the full complex."""
-        out = {"o": {}, "w": {}}
-        for bi, b in enumerate(self.blocks):
-            for q in (0, 1):
-                r = (b.bidegree + BiDegree(q, 0)).reduced
-                out[b.part][r] = out[b.part].get(r, 0) + b.dim(q)
-        return out
 
     def exactness_report(self):
         """Rank identities of the tautological sequences, per column."""

@@ -3,9 +3,9 @@
 Every space here carries an integer bidegree (k, l) per basis vector; the
 reduced degree k - l drives all sign rules.  Maps are dense complex matrices
 together with a bidegree shift, or a `Gather` when they have one nonzero
-per row; the cohomology of a differential, with harmonic representatives,
-and the Koszul signs are what the sphere complexes and the homotopy
-transfer machinery build on.
+per row (d-bar, H, P and the trace pairing); the cohomology of a
+differential, with harmonic representatives, and the Koszul signs are what
+the sphere complexes and the homotopy transfer machinery build on.
 """
 
 from __future__ import annotations
@@ -169,6 +169,14 @@ class Gather:
         np.add.at(out.T, self.col[nz], (x[..., nz] * self.val[nz]).T)
         return out
 
+    @property
+    def T(self):
+        """Transpose, for a gather with at most one nonzero per column."""
+        nz = np.nonzero(self.val)[0]
+        if len(np.unique(self.col[nz])) < len(nz):
+            raise ValueError("two nonzeros share a column: no transpose")
+        return Gather(self.shape[0], self.col[nz], nz, self.val[nz])
+
     def dense(self):
         out = np.zeros(self.shape, dtype=self.val.dtype)
         out[np.arange(self.shape[0]), self.col] = self.val
@@ -260,35 +268,44 @@ def _harmonic_reps(dmat, reduced, r, gram, tol):
 
 
 class Pairing:
-    """Bilinear pairing on a bigraded space, given by a dense matrix.
+    """Bilinear pairing on a bigraded space, held as a `Gather` (every
+    pairing here pairs each basis vector with one other).
 
     value(x, y) = x^T M y (no conjugation: this is the trace-type bilinear
     form, not the Hermitian metric).  parity is the reduced degree the
     pairing is supported in: M[i, j] may be nonzero only when the reduced
-    degrees of i and j sum to it.
+    degrees of i and j sum to it.  dropped is the largest entry its builder
+    left out of the gather.
     """
 
-    def __init__(self, space, matrix, parity):
-        self.space = space
-        self.matrix = np.asarray(matrix, dtype=complex)
-        self.parity = int(parity)
+    def __init__(self, space, matrix, parity, dropped=0.0):
+        self.space, self.matrix = space, matrix
+        self.parity, self.dropped = int(parity), float(dropped)
 
     def value(self, x, y):
-        return x @ self.matrix @ y
+        return x @ (self.matrix @ y)
 
     def parity_violation(self):
-        red = self.space.reduced_degrees()
-        mask = (red[:, None] + red[None, :]) != self.parity
-        bad = np.abs(self.matrix)[mask]
-        return float(bad.max()) if bad.size else 0.0
+        M, red = self.matrix, self.space.reduced_degrees()
+        bad = red + red[M.col] != self.parity
+        return float(np.abs(M.val[bad]).max(initial=0.0))
 
     def graded_symmetry_residual(self):
-        """How far the pairing is from <x,y> = (-1)^(xy) <y,x>."""
-        red = self.space.reduced_degrees()
-        sgn = np.where((red[:, None] % 2) & (red[None, :] % 2), -1.0, 1.0)
-        return float(np.abs(self.matrix - sgn * self.matrix.T).max())
+        """How far the pairing is from <x,y> = (-1)^(xy) <y,x>.  Each entry
+        of M - sgn M^T has a mirror of the same modulus at some (i, col[i])."""
+        M, red = self.matrix, self.space.reduced_degrees()
+        back = np.where(M.col[M.col] == np.arange(M.shape[0]), M.val[M.col], 0)
+        sgn = np.where((red % 2) & (red[M.col] % 2), -1.0, 1.0)
+        return float(np.abs(M.val - sgn * back).max(initial=0.0))
+
+    def singular_values(self):
+        """Largest first.  Each row of a gather feeds one column, so M^H M
+        is diagonal, with the per-column sums of |val|^2."""
+        M = self.matrix
+        return np.sort(np.sqrt(np.bincount(M.col, np.abs(M.val) ** 2,
+                                           minlength=M.shape[1])))[::-1]
 
     def nondegeneracy(self):
         """Smallest singular value over the largest (0 means degenerate)."""
-        s = np.linalg.svd(self.matrix, compute_uv=False)
+        s = self.singular_values()
         return float(s[-1] / s[0]) if s.size and s[0] > 0 else 0.0

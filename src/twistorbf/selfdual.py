@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graded import BigradedSpace, Pairing, exterior_algebra, koszul_sign
+from .graded import (BigradedSpace, Gather, Pairing, exterior_algebra,
+                     koszul_sign)
 from .radial import hermitian_inner, monomial
 from .sphere import build_model
 
@@ -181,8 +182,11 @@ class UAlgebra:
         return np.asarray(x)[self.trace_index]
 
     def pairing(self):
+        """The duality tr(x y): each basis vector pairs with its dual."""
         mat = self.structure[:, :, self.trace_index]
-        return Pairing(self.space, mat, parity=3)
+        col = np.abs(mat).argmax(axis=1)
+        val = mat[np.arange(self.dim), col]
+        return Pairing(self.space, Gather(self.dim, slice(None), col, val), 3)
 
     def reduced_dims(self):
         red = self.space.reduced_degrees()

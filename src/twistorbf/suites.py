@@ -222,18 +222,22 @@ def _blocks_max(blocks):
 
 
 def htt_side_conditions(cfg):
-    """Side conditions of the contraction: the plain complex's homotopy,
-    and the homotopy against the insertion differential, composed block by
-    block with the models' homotopy on each multiplicity copy."""
+    """Side conditions of the contraction: the plain complex's homotopy
+    and the entries its trace pairing drops, and the homotopy against the
+    insertion differential, composed block by block with the models'
+    homotopy on each multiplicity copy."""
     L = cfg.trunc(12)
-    side = build_contraction(GComplex(L), tol=np.inf).side_conditions
+    ge = GComplex(L, extended=True)
+    side = build_contraction(ge.quotient, tol=np.inf).side_conditions
     checks = [_check(name, "contraction-side-conditions", side[key], 1e-12)
               for name, key in (
                   ("homotopy-squares-to-zero", "homotopy squares to zero"),
                   ("homotopy-orthogonal-to-harmonics",
                    "homotopy range isotropic"),
                   ("homotopy-pairing-adjointness", "homotopy self-adjoint"))]
-    ge = GComplex(L, extended=True)
+    checks.append(_check("pairing-one-entry-per-row",
+                         "contraction-side-conditions",
+                         ge.quotient.pairing_matrix().dropped, 1e-12))
     H = {((bi, 0), (bi, 1)): np.kron(np.eye(b.mult), b.model.hom_mat)
          for bi, b in enumerate(ge.blocks)}
     HD = _block_product(H, ge.iota_blocks)

@@ -108,8 +108,9 @@ class Contraction:
     checked entry by entry.  The projector must be diagonal with entries 0
     and 1 (every one built here is), so the inclusion picks basis vectors
     and p is its transpose.  Violated side conditions raise with the
-    offending residual; pass a pairing matrix to also check isotropy and
-    graded self-adjointness of H.
+    offending residual; pass the pairing's `Gather` to also check isotropy
+    and graded self-adjointness of H, entry by entry through H's transpose
+    (H has one nonzero per column).
     """
 
     def __init__(self, algebra, d, homotopy, proj, degrees, pairing=None,
@@ -117,8 +118,7 @@ class Contraction:
         self.algebra = algebra
         self.d, self.H, self.proj = d, homotopy, proj
         self.degrees = np.asarray(degrees, dtype=int)
-        self.pairing = None if pairing is None else np.asarray(
-            pairing, dtype=complex)
+        self.pairing = pairing
         self.label = label
         self.dim = self.d.shape[0]
         # the basis vectors the projector keeps; it must be diagonal 0/1
@@ -151,12 +151,12 @@ class Contraction:
         checks["inclusion splits projection"] = _amax(
             self.p_mat @ self.i_mat - np.eye(self.nharm))
         if self.pairing is not None:
-            M = self.pairing
-            HtM = (M.T @ H).T
-            checks["homotopy range isotropic"] = np.abs(HtM @ P).max()
+            HtM, MH = H.T @ self.pairing, self.pairing @ H
             sgn = np.where(self.degrees % 2, -1.0, 1.0)
-            checks["homotopy self-adjoint"] = np.abs(
-                HtM - sgn[:, None] * (M @ H)).max()
+            checks["homotopy range isotropic"] = support_max(abs, HtM @ P)
+            checks["homotopy self-adjoint"] = support_max(
+                lambda a, b: a - b, HtM,
+                Gather(self.dim, slice(None), MH.col, sgn * MH.val))
         self.side_conditions = checks
         for name, val in checks.items():
             if not val < tol:
@@ -391,7 +391,7 @@ def harmonic_pairing(con):
     """Pairing matrix restricted to the harmonic basis."""
     if con.pairing is None:
         raise ValueError("contraction carries no pairing")
-    return con.pairing[np.ix_(con.harm_index, con.harm_index)]
+    return con.p_mat @ (con.pairing @ con.i_mat)
 
 
 def random_homogeneous(degrees, rng, r, rank=None):

@@ -118,14 +118,16 @@ def test_criterion_06_side_conditions():
     r_orth = named["homotopy-orthogonal-to-harmonics"]["residual"]
     r_adj = named["homotopy-pairing-adjointness"]["residual"]
     r_nil = named["insertion-homotopy-nilpotent"]["residual"]
-    worst = max(r_sq, r_orth, r_adj, r_nil)
+    r_one = named["pairing-one-entry-per-row"]["residual"]
+    worst = max(r_sq, r_orth, r_adj, r_nil, r_one)
     _line(6, "contraction side conditions", worst < 1e-12,
-          "H2 %.1e, orth %.1e, adj %.1e, (Hd)2 %.1e"
-          % (r_sq, r_orth, r_adj, r_nil))
+          "H2 %.1e, orth %.1e, adj %.1e, (Hd)2 %.1e, pairing off %.1e"
+          % (r_sq, r_orth, r_adj, r_nil, r_one))
     assert r_sq < 1e-12
     assert r_orth < 1e-12
     assert r_adj < 1e-12
     assert r_nil < 1e-12
+    assert r_one < 1e-12
 
 
 def test_criterion_07_hull_cohomology_match():

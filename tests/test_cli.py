@@ -114,7 +114,8 @@ def test_htt_suite_matches_its_parts(capsys):
     names = {c["name"] for c in rep["checks"]}
     assert {
         "homotopy-squares-to-zero", "homotopy-orthogonal-to-harmonics",
-        "homotopy-pairing-adjointness", "insertion-homotopy-nilpotent",
+        "homotopy-pairing-adjointness", "pairing-one-entry-per-row",
+        "insertion-homotopy-nilpotent",
         "short-sequence-ranks-L5", "short-sequence-composition-L5",
         "insertion-squares-to-zero-L5", "insertion-leibniz-L5",
         "hull-graded-dimensions", "hull-product-rank", "hull-product-match",

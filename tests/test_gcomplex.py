@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from twistorbf.gcomplex import _RESOLUTION, GComplex
+from twistorbf.gcomplex import _RESOLUTION, GComplex, _radial_sum
 from twistorbf.graded import BiDegree
 from twistorbf.radial import SphereGrid
 from twistorbf.sphere import LineBundleModel, build_model
@@ -35,10 +35,20 @@ def test_block_table():
     assert all(b.zero_multiplication == (b.part == "w") for b in G.blocks)
 
 
+def component_dims(g):
+    """Dimensions per part and reduced degree of the full complex."""
+    out = {"o": {}, "w": {}}
+    for bi, b in enumerate(g.blocks):
+        for q in (0, 1):
+            r = (b.bidegree + BiDegree(q, 0)).reduced
+            out[b.part][r] = out[b.part].get(r, 0) + b.dim(q)
+    return out
+
+
 def test_component_dims_match_closed_formulas():
     for trunc in (4, 7):
         g = GComplex(trunc, extended=False)
-        dims = g.component_dims()
+        dims = component_dims(g)
         # structure side: sections of twists 0,1,2 plus the forms one
         # reduced degree down; closed dimension count L(|n|+L) per degree
         def sec(n, lv):
@@ -162,6 +172,41 @@ def test_pairing_parity_symmetry_nondegeneracy():
     assert P.parity_violation() == 0.0
     assert P.graded_symmetry_residual() < 1e-13
     assert P.nondegeneracy() > 0.99
+
+
+def dense_pairing_loop(g):
+    """The trace pairing as the dense sum of its radial blocks."""
+    P = np.zeros((g.dim, g.dim), dtype=complex)
+    for bx, qx, by, qy, bt, qt, sgn, mt in g.wiring:
+        if bt != g.trace_block or qt != 1:
+            continue
+        px, _ = g._profiles(g.blocks[bx].model, qx)
+        py, _ = g._profiles(g.blocks[by].model, qy)
+        fp = _radial_sum(px, py, g._unit, g._radial_trace)[:, :, 0]
+        P[g.block_slice(bx, qx),
+          g.block_slice(by, qy)] += sgn * np.kron(mt.sum(axis=2), fp)
+    return P
+
+
+@pytest.mark.parametrize("trunc", range(3, 13))
+def test_pairing_gather_matches_dense_loop(trunc):
+    g = GComplex(trunc)
+    pr = g.pairing_matrix()
+    M, P = pr.matrix, dense_pairing_loop(g)
+    rows = np.arange(g.dim)
+    # one matched entry per row and per column, taken as the loop has it
+    assert np.array_equal(np.sort(M.col), rows)
+    assert np.array_equal(M.val, P[rows, M.col])
+    assert np.allclose(np.abs(M.val), np.sqrt(2.0), rtol=1e-13, atol=0)
+    P[rows, M.col] = 0.0
+    assert np.abs(P).max() == pr.dropped < 1e-12
+
+
+def test_extended_pairing_is_refused():
+    # the resolution columns pair with several forms each
+    with pytest.raises(RuntimeError, match="not one entry per row: dropped "
+                       "entry [0-9.]+e[-+][0-9]+"):
+        GComplex(5, extended=True).pairing_matrix()
 
 
 def test_side_conditions():
@@ -438,9 +483,11 @@ def _fun_key(g, term):
 
 
 def _integrals(g):
-    """Every integral the complex takes, by name."""
-    out = {"trace_vector": g.trace_vector,
-           "pairing": g.pairing_matrix().matrix}
+    """Every integral the complex takes, by name (the trace pairing, one
+    entry per row, on the plain complex only)."""
+    out = {"trace_vector": g.trace_vector}
+    if not g.extended:
+        out["pairing"] = g.pairing_matrix().matrix.dense()
     for term in g.wiring:
         out[("fun",) + _fun_key(g, term)] = g._fun_tensor(term)
     if g.extended:
@@ -455,8 +502,9 @@ def _integrals(g):
 def test_radial_integrals_match_grid_formulas(trunc, ext):
     g = GComplex(trunc, extended=ext)
     cache = {}
-    want = {"trace_vector": grid_trace_vector(g, cache),
-            "pairing": grid_pairing_matrix(g, cache)}
+    want = {"trace_vector": grid_trace_vector(g, cache)}
+    if not ext:
+        want["pairing"] = grid_pairing_matrix(g, cache)
     for term in g.wiring:
         key = ("fun",) + _fun_key(g, term)
         if key not in want:
@@ -517,7 +565,7 @@ def test_complex_reads_no_values_on_its_grid(monkeypatch):
     monkeypatch.setattr(LineBundleModel, "grid_data", spy)
     g = GComplex(5, extended=True)
     g.exactness_report()
-    g.pairing_matrix()
+    g.quotient.pairing_matrix()
     rng = np.random.default_rng(10)
     g.product_apply(g.random_vector(rng), g.random_vector(rng))
     assert seen and set(seen) == {"RadialGrid"}

@@ -161,18 +161,16 @@ def test_pairing_checks():
     labels = ["e", "o1", "o2"]
     degrees = [(0, 0), (1, 0), (2, 1)]
     space = BigradedSpace(labels, degrees)
-    m = np.zeros((3, 3))
-    m[1, 2] = 1.0
-    m[2, 1] = -1.0  # odd-odd pairing, graded-symmetric means antisymmetric
+    # odd-odd pairing, graded-symmetric means antisymmetric
+    m = Gather(3, [1, 2], [2, 1], [1.0, -1.0])
     p = Pairing(space, m, parity=2)
     assert p.parity_violation() == 0.0
     assert p.graded_symmetry_residual() < 1e-14
-    m_bad = m.copy()
-    m_bad[2, 1] = 1.0
+    m_bad = Gather(3, [1, 2], [2, 1], [1.0, 1.0])
     assert Pairing(space, m_bad, parity=2).graded_symmetry_residual() > 1.0
     # degenerate direction: e pairs with nothing
     assert p.nondegeneracy() == 0.0
-    m_full = np.eye(3)
+    m_full = Gather(3, slice(None), np.arange(3), 1.0)
     sp0 = BigradedSpace(["u", "v", "w"], [(0, 0), (0, 0), (0, 0)])
     assert Pairing(sp0, m_full, parity=0).nondegeneracy() == pytest.approx(1.0)
 
@@ -221,6 +219,55 @@ def test_gather_matches_its_dense_form(case):
     empty = a.val == 0
     assert not np.any((a @ x)[empty])
     assert not np.any((a @ b).dense()[empty])
+    # the transpose exists when no two nonzeros share a column
+    if len(np.unique(a.col[~empty])) == np.count_nonzero(~empty):
+        assert np.array_equal(a.T.dense(), da.T)
+    else:
+        with pytest.raises(ValueError, match="share a column"):
+            a.T
+
+
+@st.composite
+def _pairing_case(draw):
+    n = draw(st.integers(1, 7))
+    m = _gather(draw, n, draw(st.booleans()))
+    if n > 1 and draw(st.booleans()):
+        m.col[1] = m.col[0]     # two rows share a column
+    red = np.array(draw(st.lists(st.integers(-2, 3), min_size=n,
+                                 max_size=n)))
+    return m, red, draw(st.integers(-2, 4))
+
+
+@given(case=_pairing_case())
+@settings(max_examples=80, deadline=None)
+def test_pairing_methods_match_dense_forms(case):
+    m, red, parity = case
+    space = BigradedSpace([str(i) for i in range(len(red))],
+                          [(r, 0) for r in red])
+    p, d = Pairing(space, m, parity), m.dense()
+    s = np.linalg.svd(d, compute_uv=False)
+    np.testing.assert_allclose(p.singular_values(), s, rtol=1e-13,
+                               atol=1e-14)
+    ratio = s[-1] / s[0] if s[0] > 0 else 0.0
+    assert p.nondegeneracy() == pytest.approx(ratio, rel=1e-12, abs=1e-14)
+    sgn = np.where((red[:, None] % 2) & (red[None, :] % 2), -1.0, 1.0)
+    assert p.graded_symmetry_residual() == np.abs(d - sgn * d.T).max()
+    bad = red[:, None] + red[None, :] != parity
+    assert p.parity_violation() == np.abs(d[bad]).max(initial=0.0)
+    x, y = np.arange(1.0, len(red) + 1), np.cos(np.arange(len(red)))
+    assert p.value(x, y) == pytest.approx(x @ d @ y, rel=1e-14, abs=1e-14)
+
+
+def test_pairing_with_a_shared_column_is_degenerate():
+    # rows 0 and 1 both pair with vector 2, so vectors 0 and 1 are missed
+    space = BigradedSpace(["a", "b", "c"], [(0, 0), (0, 0), (1, 0)])
+    m = Gather(3, [0, 1, 2], [2, 2, 0], [1.0, 2.0, 1.0])
+    p = Pairing(space, m, parity=1)
+    np.testing.assert_allclose(p.singular_values(),
+                               np.linalg.svd(m.dense(), compute_uv=False),
+                               atol=1e-15)
+    assert p.nondegeneracy() == 0.0
+    assert p.graded_symmetry_residual() == 2.0
 
 
 def test_gather_constructor_and_support_max():

@@ -189,6 +189,9 @@ def test_hull_trace_and_pairing():
     IU = np.eye(16)
     assert U_ALG.trace(U_ALG.multiply(U_ALG.unit, IU[8])) == 1.0
     pr = U_ALG.pairing()
+    # the gather holds every entry of tr(x y): one per row
+    assert np.array_equal(pr.matrix.dense(),
+                          U_ALG.structure[:, :, U_ALG.trace_index])
     assert pr.parity_violation() == 0.0
     assert pr.graded_symmetry_residual() == 0.0
     assert pr.nondegeneracy() > 0.5

@@ -192,8 +192,9 @@ class TestSheafComplex:
 
     def test_morphism_negative_control(self):
         P = harmonic_pairing(CON)
-        r = check_morphism(CON.i_mat, P, 1.01 * CON.pairing, TB.m[1],
-                           CON.d)
+        M = CON.pairing
+        scaled = Gather(M.shape[0], slice(None), M.col, 1.01 * M.val)
+        r = check_morphism(CON.i_mat, P, scaled, TB.m[1], CON.d)
         assert r["pairing_residual"] > 1e-9
 
     def test_quasi_iso_plain(self):
