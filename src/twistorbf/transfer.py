@@ -16,9 +16,10 @@ degrees.
 H is a `Gather`, applied to the stacked products as a column gather; the
 root p of the plain contraction picks the harmonic coordinates.
 
-Brackets are graded antisymmetrizations over argument orderings.  Matrix
-coefficients ride along as ordered products, so the scalar structure
-tensors computed once serve every coefficient rank.
+Brackets are graded antisymmetrizations over argument orderings, summed
+over each tensor's nonzero entries.  Matrix coefficients ride along as
+ordered products, so the scalar structure tensors computed once serve
+every coefficient rank.
 
 A second differential of homological type can be switched on; the
 homotopy then corrects leaves and root by the usual geometric series,
@@ -26,6 +27,7 @@ which is summed until it terminates (nilpotency is checked, not assumed).
 """
 
 import numpy as np
+from functools import reduce
 from itertools import combinations, permutations
 
 from .graded import (Gather, exterior_algebra, koszul_sign_permutation,
@@ -250,11 +252,17 @@ class Transferred:
     m[1] is the matrix of the transferred differential (output index
     first); m[n] for n >= 2 has axes (a_1 .. a_n, out).  bracket() is the
     graded antisymmetrization, accepting scalar vectors (nh,) or matrix
-    valued elements (nh, k, k), each homogeneous.
+    valued elements (nh, k, k), each homogeneous; it sums over the support
+    of m[n] (its exact nonzeros), read here once.  The dense tensors stay
+    for the checks that read them, and are made read-only so that the
+    support cannot go stale.
     """
 
     def __init__(self, m_ops, degrees, con):
         self.m = m_ops
+        for T in m_ops.values():
+            T.flags.writeable = False
+        self.support = {n: np.nonzero(T) for n, T in m_ops.items() if n >= 2}
         self.degrees = np.asarray(degrees, dtype=int)
         self.con = con
         self.nharm = len(self.degrees)
@@ -274,27 +282,6 @@ class Transferred:
                              % sorted(degs))
         return degs.pop()
 
-    def _ordered_apply(self, T, xs):
-        # contract tensor axes with arguments in the given order; matrix
-        # coefficients multiply left to right
-        xs = [np.asarray(x) for x in xs]
-        cur = T
-        if all(x.ndim == 1 for x in xs):
-            for x in xs:
-                cur = np.tensordot(x, cur, axes=1)
-            return cur
-        k = next(x.shape[1] for x in xs if x.ndim > 1)
-        eye = np.eye(k, dtype=complex)
-        for i, x in enumerate(xs):
-            x = np.asarray(x, dtype=complex)
-            if x.ndim == 1:
-                x = x[:, None, None] * eye
-            # first: (a, ...) x (a, i, j) -> (..., i, j); then
-            # (a, ..., i, j) x (a, j, k) -> (..., i, k)
-            axes = ([0], [0]) if i == 0 else ([0, cur.ndim - 1], [0, 1])
-            cur = np.tensordot(cur, x, axes=axes)
-        return cur
-
     def bracket(self, xs):
         xs = [np.asarray(x, dtype=complex) for x in xs]
         n = len(xs)
@@ -303,12 +290,21 @@ class Transferred:
         if n not in self.m:
             raise ValueError("no arity %d operation built" % n)
         degs = [self.element_degree(x) for x in xs]
-        out = None
+        idx = self.support[n]
+        # a scalar argument is a multiple of the k x k identity (k = 1
+        # when every argument is scalar); matrix coefficients multiply
+        # left to right in argument order
+        matrix = [x for x in xs if x.ndim > 1]
+        k = matrix[0].shape[1] if matrix else 1
+        mats = [x if x.ndim > 1 else x[:, None, None] * np.eye(k)
+                for x in xs]
+        total = 0
         for perm in permutations(range(n)):
-            chi = koszul_sign_permutation(perm, degs)
-            val = self._ordered_apply(self.m[n], [xs[t] for t in perm])
-            out = chi * val if out is None else out + chi * val
-        return out
+            total = total + koszul_sign_permutation(perm, degs) * reduce(
+                np.matmul, [mats[t][idx[a]] for a, t in enumerate(perm)])
+        out = np.zeros((self.nharm, k, k), dtype=complex)
+        np.add.at(out, idx[n], self.m[n][idx][:, None, None] * total)
+        return out if matrix else out[:, 0, 0]
 
 
 def transfer(con, max_arity=4, d2=None):

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from twistorbf.gcomplex import GComplex
-from twistorbf.graded import Gather
+from twistorbf.graded import Gather, koszul_sign_permutation
 from twistorbf.sphere import build_model
 from twistorbf.transfer import (
     Contraction, DenseAlgebra, Transferred, build_contraction,
@@ -90,6 +91,31 @@ class TestToy:
         lr2 = check_linfty_relations(tb, rng, max_arity=4, samples=3,
                                      rank=2)
         assert all(v < 1e-13 for v in lr2.values())
+
+    @pytest.mark.parametrize("rank", [None, 2])
+    def test_bracket_matches_einsum_on_nonzero_m3(self, rank):
+        # the toy's m3 is nonzero, so arity 3 sums over a real support
+        tb = transfer(self.con, max_arity=3)
+        assert np.abs(tb.m[3]).max() > 0.5
+        rng = np.random.default_rng(13)
+        nonzero = 0
+        for degs in [(a, b) for a in range(4) for b in range(4)] + [
+                (1, 1, 1), (1, 1, 2), (0, 1, 1), (1, 2, 1)]:
+            xs = [random_homogeneous(tb.degrees, rng, r, rank)
+                  for r in degs]
+            want, scale = _bracket_oracle(tb.m[len(degs)], xs, degs)
+            got = tb.bracket(xs)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * scale
+            nonzero += len(degs) == 3 and scale > 0.1
+        assert nonzero > 0
+
+    def test_tensors_read_only(self):
+        # bracket() reads the support at construction, so the tensors it
+        # holds refuse in-place edits
+        tb = transfer(self.con, max_arity=3)
+        with pytest.raises(ValueError, match="read-only"):
+            tb.m[2][1, 2, 4] += 0.3
 
     def test_corrupted_bracket_fails(self):
         tb = transfer(self.con, max_arity=3)
@@ -260,23 +286,47 @@ def _ordered_apply_oracle(T, xs):
                      T, *mats)
 
 
+def _bracket_oracle(T, xs, degs):
+    """Koszul-signed sum over argument orders of the einsum chain, and the
+    largest entry of its terms (the sum may cancel to roundoff)."""
+    terms = [koszul_sign_permutation(perm, degs)
+             * _ordered_apply_oracle(T, [xs[t] for t in perm])
+             for perm in permutations(range(len(xs)))]
+    return sum(terms), max(np.abs(t).max() for t in terms)
+
+
 @pytest.mark.parametrize("arity", [2, 3, 4])
 @pytest.mark.parametrize("kinds", ["scalar", "matrix", "mixed"])
-def test_ordered_apply_matches_einsum(arity, kinds):
+def test_bracket_matches_einsum(arity, kinds):
     rng = np.random.default_rng(7 * arity + len(kinds))
-    nh, k = 5, 3
+    nh, k = 6, 3
+    degrees = np.array([0, 0, 1, 1, 2, 3])
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    T = cplx(*(nh,) * (arity + 1))
+    # exact zeros on about half the entries, so the support is partial
+    shape = (nh,) * (arity + 1)
+    T = cplx(*shape) * (rng.random(shape) < 0.5)
+    tb = Transferred({arity: T, arity + 1: np.zeros(shape + (nh,))},
+                     degrees, None)
+    assert 0 < len(tb.support[arity][0]) == np.count_nonzero(T) < T.size
     matrix = {"scalar": [False] * arity, "matrix": [True] * arity,
               "mixed": [i % 2 == 1 for i in range(arity)]}[kinds]
-    xs = [cplx(nh, k, k) if m else cplx(nh) for m in matrix]
-    got = Transferred({}, np.zeros(nh, dtype=int), None)._ordered_apply(T, xs)
-    want = _ordered_apply_oracle(T, xs)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+    # even, odd and mixed argument degrees
+    for degs in ([0, 2, 2, 0], [1, 3, 1, 1], [1, 2, 3, 0]):
+        degs = degs[:arity]
+        xs = [random_homogeneous(degrees, rng, r, k if m else None)
+              + 1j * random_homogeneous(degrees, rng, r, k if m else None)
+              for r, m in zip(degs, matrix)]
+        got = tb.bracket(xs)
+        want, scale = _bracket_oracle(T, xs, degs)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-13 * scale
+        # an all-zero tensor has empty support and gives exact zeros
+        zero = tb.bracket([xs[0]] + xs)
+        assert zero.shape == ((nh,) if kinds == "scalar" else (nh, k, k))
+        assert not zero.any()
 
 
 def _dense_transfer(con):

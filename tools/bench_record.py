@@ -6,7 +6,9 @@ Reads the untraced records DIR/perfbench/out/<workload>-s<seed>-t0.json
 that `perfbench/run.py --trace 0` wrote in the checkout DIR (default: this
 one).  Under LABEL it stores DIR's git revision, the benchmark environment
 and, per workload, the median over those records (one per seed) of each
-end-to-end metric named in BENCHMARK.json.  FILE defaults to
+end-to-end metric named in BENCHMARK.json.  Traced records (`--trace 1`,
+...-t1.json), where present, add the medians of the per-layer metrics under
+"traced", one summary per workload.  FILE defaults to
 BENCH_<yyyymmdd>.json (today, UTC) at the root of this checkout; entries it
 already holds under other labels are kept, so one file can carry the
 numbers of a parent commit and of a change.
@@ -22,7 +24,7 @@ import statistics
 import subprocess
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RECORD = re.compile(r"(?P<workload>.+)-s(?P<seed>-?\d+)-t0\.json$")
+RECORD = re.compile(r"(?P<workload>.+)-s(?P<seed>-?\d+)-t[01]\.json$")
 
 
 def revision(checkout):
@@ -35,17 +37,18 @@ def revision(checkout):
     return rev + ("+dirty" if dirty.strip() else "")
 
 
-def summarise(checkout, metric_names):
-    """(env, {workload: summary}) from the checkout's untraced records."""
+def summarise(checkout, metric_names, trace=0):
+    """(env, {workload: summary}) from the checkout's records traced or
+    not as TRACE says; the untraced ones must exist."""
     by_workload = {}
     for path in sorted(glob.glob(os.path.join(checkout, "perfbench", "out",
-                                              "*-t0.json"))):
+                                              "*-t%d.json" % trace))):
         match = RECORD.match(os.path.basename(path))
         if match:
             with open(path) as fh:
                 by_workload.setdefault(match["workload"], []).append(
                     json.load(fh))
-    if not by_workload:
+    if not by_workload and not trace:
         raise SystemExit("bench_record: no untraced records under %s"
                          % os.path.join(checkout, "perfbench", "out"))
     env = None
@@ -76,14 +79,21 @@ def main():
         datetime.datetime.now(datetime.timezone.utc).strftime("%Y%m%d")))
 
     with open(os.path.join(args.checkout, "BENCHMARK.json")) as fh:
-        names = [m["name"] for m in json.load(fh)["end_to_end"]]
-    env, workloads = summarise(args.checkout, names)
+        declared = json.load(fh)
+    env, workloads = summarise(
+        args.checkout, [m["name"] for m in declared["end_to_end"]])
+    _, traced = summarise(
+        args.checkout, [m["name"] for m in declared.get("per_layer", [])],
+        trace=1)
     bench = {"command": "perfbench/run.py --trace 0", "entries": {}}
     if os.path.exists(output):
         with open(output) as fh:
             bench = json.load(fh)
-    bench["entries"][args.label] = {"revision": revision(args.checkout),
-                                    "env": env, "workloads": workloads}
+    entry = {"revision": revision(args.checkout), "env": env,
+             "workloads": workloads}
+    if traced:
+        entry["traced"] = traced
+    bench["entries"][args.label] = entry
     with open(output, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")
