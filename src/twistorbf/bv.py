@@ -10,7 +10,7 @@ point lives in the tensor product with a finite Grassmann algebra and
 touches every degree.
 
 Fields are truncation coefficients, but the integrals are evaluated on
-the quadrature grid, where multiplication is honest pointwise
+a quadrature grid, where multiplication is honest pointwise
 multiplication of sections.  The basis-projected product of the complex
 is not associative (projecting an intermediate product cuts its upper
 levels), and the quartic term of {S, S} feels exactly that: evaluated
@@ -20,6 +20,15 @@ exact for the quartic integrands, so the identities the master equation
 rests on (the trace kills d-exact elements, the pairing is graded
 symmetric, the trace of a product is cyclic) hold to roundoff.
 
+The grid is a product rule (radial Gauss x uniform angle) sized from the
+integrands by `product_rule`.  Every chart function is z^a zbar^b D^-gamma
+with torus weight a - b, so a trace integrand is a sum of such terms: the
+angular rule is exact once it has more points than the largest total
+weight, and the radial rule once its degree reaches the total D power.
+Both are read off the models' `RadialFun.weight` and `gamma` through the
+wiring table; on the plain complex of truncation L they come out to 2L
+radial nodes and 4L - 1 angular points.  `BFData` samples on that rule.
+
 The variation of S pairs against the curvature Q(a) = d a + (1/2) a a
 with constant one (fitted on a random direction and reported, never
 used), and {S, S} contracts the variation with Q again, so the reported
@@ -27,10 +36,11 @@ residual is the trace pairing <Q Q> against the unsigned size of the
 terms that have to cancel.
 
 Grid products read the complex's product wiring table
-(`GComplex.wiring`) and its trace block and weights, so the grid and the
-coefficient products agree on which pieces multiply, with what sign and
-multiplicity; only the contraction differs (pointwise on the grid instead
-of through projected function tensors).
+(`GComplex.wiring`) and its trace block, and weigh the trace on their own
+rule with `gcomplex.trace_weights`, so the grid and the coefficient
+products agree on which pieces multiply, with what sign and multiplicity;
+only the contraction differs (pointwise on the grid instead of through
+projected function tensors).
 
 Auxiliary generators are kept as bit masks; moving a generator past a
 coefficient of odd internal parity costs a sign, and merging two masks
@@ -46,15 +56,88 @@ interleaving and Koszul signs above, zero where the masks overlap.
 and merges masks with the same table.
 """
 
+import functools
+
 import numpy as np
 
-from .gcomplex import GComplex
+from .gcomplex import GComplex, trace_weights
 from .graded import merge_sign
+from .radial import SphereGrid
 
 __all__ = [
     "BFData", "SuperField", "bv_action", "master_equation_residual",
-    "trace_cyclicity_residual", "action_expansion_oracle",
+    "trace_cyclicity_residual", "action_expansion_oracle", "piece_bounds",
+    "product_rule",
 ]
+
+
+def piece_bounds(funs, extra):
+    """(lowest torus weight, highest torus weight, doubled D exponents) of
+    the normalized chart values f D^-extra of one block piece: the set of
+    2 (gamma + extra) over its chart functions."""
+    weights = [f.weight for f in funs]
+    return (min(weights), max(weights),
+            frozenset(2 * f.gamma + int(2 * extra) for f in funs))
+
+
+def _joined(*tables):
+    """Piece-wise union of bounds tables."""
+    out = {}
+    for table in tables:
+        for piece, (lo, hi, e) in table.items():
+            if piece in out:
+                lo0, hi0, e0 = out[piece]
+                lo, hi, e = min(lo, lo0), max(hi, hi0), e | e0
+            out[piece] = (lo, hi, e)
+    return out
+
+
+def _wired(left, right, wiring):
+    """Bounds of the products x y, x from a left piece and y from a right
+    one, on the target pieces the wiring sends them to."""
+    return _joined(*(
+        {(bt, qt): (left[(bx, qx)][0] + right[(by, qy)][0],
+                    left[(bx, qx)][1] + right[(by, qy)][1],
+                    frozenset(a + b for a in left[(bx, qx)][2]
+                              for b in right[(by, qy)][2]))}
+        for bx, qx, by, qy, bt, qt, _, _ in wiring))
+
+
+def product_rule(bounds, wiring, trace_piece):
+    """(radial nodes, angular points) of the smallest product rule that
+    integrates every trace integrand of the bv module exactly.
+
+    bounds maps each block piece (bi, q) to its `piece_bounds`.  The
+    integrands are traces of products of at most four fields: the action
+    pairs a product of two with a third, the master equation pairs two
+    products of two, tr((x y)(z t)), and its variation a product of three
+    with a fourth, tr((x (y z)) t).  The bounds are carried through the
+    wiring table to every such product on the trace piece; its chart
+    terms multiply to c z^a zbar^b D^-G, with G the sum of the factors'
+    D exponents plus the 2 of the trace weight.  The uniform angular rule
+    of N points kills e^{i (a - b) theta} exactly when N > |a - b|, the
+    total torus weight.  What survives is u^a D^-G, which the radial
+    rule's variable t turns into a polynomial of degree G - 2, so n Gauss
+    nodes are exact once 2 n - 1 >= G - 2.  G must be an integer for
+    that; the half-integer powers of odd twists have to cancel, which is
+    asserted.
+    """
+    two = _joined(bounds, _wired(bounds, bounds, wiring))
+    three = _joined(two, _wired(two, bounds, wiring),
+                    _wired(bounds, two, wiring))
+    lo, hi, doubled = _joined(
+        _wired(two, two, wiring), _wired(three, bounds, wiring),
+        _wired(bounds, three, wiring))[trace_piece]
+    if any(d % 2 for d in doubled):
+        raise AssertionError("half-integer D power in a trace integrand")
+    return max(doubled) // 4 + 1, max(-lo, hi) + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _sized_grid(n_radial, n_theta):
+    # one grid object per rule, so that every BFData of a complex hits the
+    # models' value caches, which are keyed on the grid
+    return SphereGrid(n_radial, n_theta)
 
 
 def _popcount(mask):
@@ -145,7 +228,8 @@ class BFData(object):
 
     The pairing must be nondegenerate; the extended complex is refused
     for that reason (its resolution columns pair with several forms or
-    with none).
+    with none).  Fields are sampled on `grid`, the product rule `rule`
+    that `product_rule` sizes for this complex.
     """
 
     def __init__(self, source, rank=2, cubic=True, n_aux=6, dbar=None,
@@ -171,11 +255,17 @@ class BFData(object):
         self.dbar = source.dbar if dbar is None else dbar
         red = source.space.reduced_degrees()
         self.parity_mask = (np.asarray(red) % 2).astype(bool)
+        self.rule = product_rule(
+            {(bi, q): piece_bounds(b.model.funs(q),
+                                   b.model.normalized_extra(q))
+             for bi, b in enumerate(source.blocks) for q in (0, 1)},
+            source.wiring, (source.trace_block, 1))
+        self.grid = _sized_grid(*self.rule)
         self._build_grid_tables()
 
     def _build_grid_tables(self):
         g = self.g
-        grid = g.grid
+        grid = self.grid
         self._gvals = {}
         self._goffsets = {}
         pos = 0
@@ -305,7 +395,7 @@ class BFData(object):
         quantities that vanish by cancellation divide by its maximum.
         """
         tables = _merge_tables(x, y)
-        tw = self.g.trace_weights
+        tw = trace_weights(self.grid)
         pairs = {}
         for px, py, bx, qx, by, qy, w in self._trace_terms:
             mx, my, ts, _ = tables[(px, py)]

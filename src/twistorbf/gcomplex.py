@@ -25,8 +25,9 @@ otherwise leaves one radial Gauss sum.  Every integral the complex takes
 (structure constants of the product, the projections of the tautological
 maps, the trace and the pairing) is computed that way, by `_radial_sum`
 on a radial rule that is exact for the closed radial family, so they carry
-only roundoff error.  The 2-D quadrature grid (`GComplex.grid`) is kept
-for the bv module, which multiplies fields pointwise on it.
+only roundoff error.  `GComplex.grid` only sets the radial rule (its
+radial nodes); the bv module multiplies fields pointwise on a product rule
+of its own, sized from the integrands it takes.
 
 The product wiring table (`GComplex.wiring`, built once per complex) is
 the one place that decides which pairs of block pieces multiply, into
@@ -190,6 +191,13 @@ def _mult_tensor(lx, ly):
     return None
 
 
+def trace_weights(grid):
+    """Weights of the trace on a SphereGrid or RadialGrid: the normalized
+    value A D^2 of an ideal-side top form times 2i / D^2 integrates to
+    2i int A dx dy."""
+    return 2.0j * grid.w / grid.D ** 2
+
+
 def _weight_classes(weights):
     return {w: np.nonzero(weights == w)[0] for w in np.unique(weights)}
 
@@ -251,8 +259,7 @@ class GComplex:
                 self.blocks.append(GBlock(part, ext, hom, model, mult, label))
         self._layout()
         self.trace_block = self._find_block(ext=2, hom=0, part="w")
-        self.trace_weights = 2.0j * self.grid.w / self.grid.D ** 2
-        self._radial_trace = 2.0j * self.radial.w / self.radial.D ** 2
+        self._radial_trace = trace_weights(self.radial)
         self._build_linear_maps()
         self._check_layout()
         self._build_wiring()

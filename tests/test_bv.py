@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from twistorbf.gcomplex import GComplex
+from twistorbf.gcomplex import GComplex, trace_weights
 from twistorbf import bv
+from twistorbf.sphere import harmonic_forms, level_sections
 
 G = GComplex(6)
 DATA = bv.BFData(G, rank=2)
@@ -279,7 +280,7 @@ def pair_oracle(data, x, y):
         if bt != g.trace_block or qt != 1:
             continue
         for s, cx, t, cy in _mask_pairs(data, x, y, bx, qx, by, qy):
-            xp = data._piece(cx, bx, qx) * g.trace_weights
+            xp = data._piece(cx, bx, qx) * trace_weights(data.grid)
             yp = data._piece(cy, by, qy)
             sg = sgn * bv._term_sign(s, t, y.parity)
             for (m, n), w in np.ndenumerate(mt.sum(axis=2)):
@@ -324,3 +325,97 @@ def test_pair_matches_mask_pair_oracle(rank, px, py):
     assert max(abs(vals[s] - wv[s]) for s in wv) < 1e-13 * ref
     ref = max(ws.values())
     assert max(abs(scale[s] - ws[s]) for s in ws) < 1e-13 * ref
+
+
+# -- the product rule ---------------------------------------------------------
+
+def quartic_integrals(data, fields):
+    """The two shapes of quartic trace integrand the module takes, for
+    three coefficient fields: pair(gmult(a, b), gmult(c, a)) and
+    pair(gmult(a, gmult(b, c)), a)."""
+    a, b, c = (data.field_to_grid(f) for f in fields)
+    two, _ = data.pair(data.gmult(a, b), data.gmult(c, a))
+    three, _ = data.pair(data.gmult(a, data.gmult(b, c)), a)
+    return two, three
+
+
+def _rel_dev(got, want):
+    ref = max(abs(v) for v in want.values())
+    return max(abs(got.get(s, 0.0) - v) for s, v in want.items()) / ref
+
+
+def _data_on_rule(g, rule, monkeypatch):
+    """BFData of g sampled on the given product rule instead of its own."""
+    with monkeypatch.context() as m:
+        m.setattr(bv, "product_rule", lambda *args: rule)
+        return bv.BFData(g, rank=2)
+
+
+def test_rule_sized_from_the_models():
+    assert DATA.rule == (12, 23)
+    assert (DATA.grid.n_radial, DATA.grid.n_theta) == DATA.rule
+    assert bv.BFData(G3, rank=2).rule == (6, 11)
+
+
+@pytest.mark.parametrize("L", [3, 6])
+def test_sized_rule_matches_fine_grid(L, monkeypatch):
+    g = G3 if L == 3 else G
+    data = bv.BFData(g, rank=2)
+    fine = _data_on_rule(g, (48, 96), monkeypatch)
+    rng = np.random.default_rng(43 + L)
+    fields = [data.random_field(rng) for _ in range(3)]
+    for got, want in zip(quartic_integrals(data, fields),
+                         quartic_integrals(fine, fields)):
+        assert _rel_dev(got, want) < 1e-13
+    a = data.random_field(rng)
+    assert _rel_dev(bv.bv_action(data, a), bv.bv_action(fine, a)) < 1e-13
+
+
+@pytest.mark.parametrize("L", [3, 6])
+def test_rule_is_tight(L, monkeypatch):
+    # one node or one angular point fewer than the rule gives must show in
+    # the quartic integrals
+    g = G3 if L == 3 else G
+    data = bv.BFData(g, rank=2)
+    rng = np.random.default_rng(47 + L)
+    fields = [data.random_field(rng) for _ in range(3)]
+    want = quartic_integrals(data, fields)
+    nr, nt = data.rule
+    for rule in ((nr - 1, nt), (nr, nt - 1)):
+        coarse = _data_on_rule(g, rule, monkeypatch)
+        for got, ref in zip(quartic_integrals(coarse, fields), want):
+            assert _rel_dev(got, ref) > 1e-6
+
+
+def _bounds_at(g, L):
+    """Piece bounds of the plain complex at truncation L, from the chart
+    functions alone: every block of g gains L - g.truncation levels."""
+    out = {}
+    for bi, b in enumerate(g.blocks):
+        n = b.twist
+        sections = [f for p in range(b.levels + L - g.truncation)
+                    for _, f in level_sections(n, p)]
+        forms = [f for _, f in harmonic_forms(n)] + [
+            f.dbar() for f in sections if f.gamma > 0]
+        out[(bi, 0)] = bv.piece_bounds(sections, n / 2.0)
+        out[(bi, 1)] = bv.piece_bounds(forms, n / 2.0 - 1.0)
+    return out
+
+
+def test_rule_outgrows_the_fixed_grid_past_truncation_24():
+    wiring, trace = G3.wiring, (G3.trace_block, 1)
+    assert _bounds_at(G3, 3) == {
+        (bi, q): bv.piece_bounds(b.model.funs(q), b.model.normalized_extra(q))
+        for bi, b in enumerate(G3.blocks) for q in (0, 1)}
+    assert bv.product_rule(_bounds_at(G3, 24), wiring, trace) == (48, 95)
+    for L in (25, 26):
+        nr, nt = bv.product_rule(_bounds_at(G3, L), wiring, trace)
+        assert (nr, nt) == (2 * L, 4 * L - 1) and nt > 96
+
+
+def test_half_integer_trace_power_rejected():
+    bounds = _bounds_at(G3, 3)
+    lo, hi, exps = bounds[(0, 0)]
+    bounds[(0, 0)] = (lo, hi, exps | {max(exps) + 1})
+    with pytest.raises(AssertionError, match="half-integer D power"):
+        bv.product_rule(bounds, G3.wiring, (G3.trace_block, 1))

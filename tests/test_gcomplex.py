@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from twistorbf.gcomplex import _RESOLUTION, GComplex, _radial_sum
+from twistorbf.gcomplex import (_RESOLUTION, GComplex, _radial_sum,
+                                trace_weights)
 from twistorbf.graded import BiDegree
 from twistorbf.radial import SphereGrid
 from twistorbf.sphere import LineBundleModel, build_model
@@ -431,7 +432,7 @@ def grid_trace_vector(g, cache):
     b = g.blocks[g.trace_block]
     vals, _ = _grid_values(b.model, 1, g.grid, cache)
     out[g.block_slice(g.trace_block, 1)] = np.tile(
-        (vals * g.trace_weights).sum(axis=1), b.mult)
+        (vals * trace_weights(g.grid)).sum(axis=1), b.mult)
     return out
 
 
@@ -442,7 +443,7 @@ def grid_pairing_matrix(g, cache):
             continue
         vx, _ = _grid_values(g.blocks[bx].model, qx, g.grid, cache)
         vy, _ = _grid_values(g.blocks[by].model, qy, g.grid, cache)
-        fp = (vx * g.trace_weights) @ vy.T
+        fp = (vx * trace_weights(g.grid)) @ vy.T
         P[g.block_slice(bx, qx),
           g.block_slice(by, qy)] += sgn * np.kron(mt.sum(axis=2), fp)
     return P
