@@ -25,9 +25,11 @@ otherwise leaves one radial Gauss sum.  Every integral the complex takes
 (structure constants of the product, the projections of the tautological
 maps, the trace and the pairing) is computed that way, by `_radial_sum`
 on a radial rule that is exact for the closed radial family, so they carry
-only roundoff error.  `GComplex.grid` only sets the radial rule (its
-radial nodes); the bv module multiplies fields pointwise on a product rule
-of its own, sized from the integrands it takes.
+only roundoff error.  The rule's nodes lie on the positive real axis, where
+every phase is 1, so the profiles are real arrays and so is every integral
+but the trace's, whose weights are imaginary.  `n_radial` sets the rule's
+node count; the bv module multiplies fields pointwise on a product rule of
+its own, sized from the integrands it takes.
 
 The product wiring table (`GComplex.wiring`, built once per complex) is
 the one place that decides which pairs of block pieces multiply, into
@@ -41,9 +43,13 @@ and the harmonic projector P as one `graded.Gather` each (`dbar`, `hom`,
 `proj`: the models' gathers on every multiplicity copy) and the trace
 pairing (Serre duality pairs each basis vector with one other), the
 insertion d_iota and the quotient map eps as the dense blocks of the
-tautological sequences, keyed by (target piece, source piece).  The d_iota
-blocks carry the form-degree sign that makes d_iota anticommute with dbar,
-and `insertion` applies them block by block.  The dense n x n forms
+tautological sequences, keyed by (target piece, source piece): real
+float64 arrays, like the dense `d_iota_signed` and `eps_matrix` assembled
+from them.  The d_iota blocks carry the form-degree sign that makes d_iota
+anticommute with dbar, and `insertion` applies them block by block.
+`exactness_report` ranks each block over the connected components of its
+nonzero pattern, whose zeros the weight rule makes exact, not by one SVD
+of the whole block.  The dense n x n forms
 (`dbar_full`, `hom_full`, `proj_full`, `d_iota_signed`, `eps_matrix`) are
 assembled on first access and then cached; the suites read none of them.
 
@@ -58,8 +64,9 @@ import functools
 
 import numpy as np
 
-from .graded import BiDegree, BigradedSpace, Gather, Pairing
-from .radial import RadialGrid, SphereGrid
+from .graded import (BiDegree, BigradedSpace, Gather, Pairing, class_runs,
+                     rank_by_components)
+from .radial import RadialGrid
 from .sphere import build_model
 
 EPS_PLUS = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -198,10 +205,6 @@ def trace_weights(grid):
     return 2.0j * grid.w / grid.D ** 2
 
 
-def _weight_classes(weights):
-    return {w: np.nonzero(weights == w)[0] for w in np.unique(weights)}
-
-
 def _radial_sum(x, y, t, wfac):
     """Integrals of x_i y_j conj(t_k) over the plane: shape (nx, ny, nt).
 
@@ -209,45 +212,52 @@ def _radial_sum(x, y, t, wfac):
     (nfun, nodes) on a radial rule whose dx dy weights (times any metric
     factor) are wfac.  The angular integral of e^{i (w_i + w_j - w_k)
     theta} is 2 pi, already in wfac, when w_i + w_j = w_k and 0 otherwise,
-    so only the index triples that obey this weight rule are summed.
+    so only the index triples that obey this weight rule are summed.  Each
+    argument's weight classes are contiguous runs of one stable argsort;
+    the output is real unless an input is complex.
     """
     (vx, wx), (vy, wy), (vt, wt) = x, y, t
     tc = np.conj(vt) * wfac
-    out = np.zeros((len(wx), len(wy), len(wt)), dtype=complex)
-    cls_t = _weight_classes(wt)
-    for a, ix in _weight_classes(wx).items():
-        for b, iy in _weight_classes(wy).items():
-            it = cls_t.get(a + b)
-            if it is None:
+    out = np.zeros((len(wx), len(wy), len(wt)),
+                   dtype=np.result_type(vx, vy, tc))
+    (ox, rx), (oy, ry), (ot, rt) = (class_runs(w) for w in (wx, wy, wt))
+    vx, vy, tc = vx[ox], vy[oy], tc[ot]
+    runs_t = {w: (s, e) for w, s, e in rt}
+    for a, sx, ex in rx:
+        for b, sy, ey in ry:
+            if a + b not in runs_t:
                 continue
-            p = (vx[ix, None, :] * vy[None, iy, :]).reshape(-1, tc.shape[1])
-            out[np.ix_(ix, iy, it)] = (p @ tc[it].T).reshape(
-                len(ix), len(iy), len(it))
+            st, et = runs_t[a + b]
+            p = (vx[sx:ex, None, :] * vy[None, sy:ey, :]).reshape(
+                -1, tc.shape[1])
+            out[ox[sx:ex, None, None], oy[None, sy:ey, None], ot[st:et]] = (
+                p @ tc[st:et].T).reshape(ex - sx, ey - sy, et - st)
     return out
 
 
 class GComplex:
     """The truncated complex with its differentials, trace and products."""
 
-    def __init__(self, truncation=12, extended=False, grid=None):
+    def __init__(self, truncation=12, extended=False, n_radial=48):
         if truncation < 2:
             raise ValueError("truncation too small")
         self.truncation = int(truncation)
         self.extended = bool(extended)
-        self.grid = grid if grid is not None else SphereGrid(48, 96)
         if extended and truncation < 5:
             raise ValueError("the extended complex needs truncation >= 5")
-        # line bundle models by (twist, levels); the extended complex
-        # shares them and the radial rule with its quotient, which sees the
-        # same grid, so the models' value caches serve both
+        # line bundle models by (twist, levels) and their radial profiles;
+        # the extended complex shares them and the radial rule with its
+        # quotient, so the models' value caches serve both
         if extended:
             self.quotient = GComplex(truncation, extended=False,
-                                     grid=self.grid)
+                                     n_radial=n_radial)
             self.models = self.quotient.models
             self.radial = self.quotient.radial
+            self._profile_cache = self.quotient._profile_cache
         else:
             self.models = {}
-            self.radial = RadialGrid(self.grid.n_radial)
+            self.radial = RadialGrid(n_radial)
+            self._profile_cache = {}
         # the constant function of weight 0, the y or t factor of the
         # integrals that multiply fewer than three chart functions
         self._unit = (np.ones((1, self.radial.n_nodes)), np.zeros(1, int))
@@ -342,10 +352,21 @@ class GComplex:
 
     def _profiles(self, model, q):
         """(profiles, torus weights) of a model's degree-q basis on the
-        radial rule, and the rule's projection weights for degree q."""
-        vals, wfac = model.grid_data(self.radial, q)
-        weights = np.array([f.weight for f in model.funs(q)], dtype=int)
-        return (vals, weights), wfac
+        radial rule, and the rule's projection weights for degree q.  The
+        nodes lie on the positive real axis, where every phase is 1, so the
+        profiles are kept as real arrays; raises if one is not real."""
+        key = (model.n, model.levels, q)
+        if key not in self._profile_cache:
+            vals, wfac = model.grid_data(self.radial, q)
+            scale = max(np.abs(vals).max(initial=0.0), 1.0)
+            imag = np.abs(vals.imag).max(initial=0.0) / scale
+            if imag > 1e-13:
+                raise ValueError("radial profile is not real: largest "
+                                 "|imag| %.2e" % imag)
+            weights = np.array([f.weight for f in model.funs(q)], dtype=int)
+            self._profile_cache[key] = (
+                (np.ascontiguousarray(vals.real), weights), wfac)
+        return self._profile_cache[key]
 
     def _dense(self, blocks, rows=None):
         """Dense matrix of a block operator; rows index the layout of
@@ -586,7 +607,7 @@ class GComplex:
 
     def _build_resolution_maps(self):
         """Blocks of d_iota (signed) and eps, from the _RESOLUTION table."""
-        z, D = self.radial.z, self.radial.D
+        z, D = np.sqrt(self.radial.u), self.radial.D
         rD = 1.0 / np.sqrt(D)
         # each factor as a (profile, torus weight) pair: z has weight 1
         factors = {f: (v[None], np.array([k])) for f, v, k in (
@@ -608,8 +629,7 @@ class GComplex:
                     coef = {f: self._project_values(ps, factors[f], pt, wfac,
                                                     iota)
                             for f in {e[2] for e in pattern} - {None}}
-                    blk = np.zeros((tgt.mult, dt, src.mult, ds),
-                                   dtype=complex)
+                    blk = np.zeros((tgt.mult, dt, src.mult, ds))
                     for mt, ms, f, negate in pattern:
                         m = np.eye(ds) if f is None else coef[f]
                         blk[mt, :, ms, :] = -m if negate else m
@@ -621,7 +641,12 @@ class GComplex:
     # -- reports ----------------------------------------------------------
 
     def exactness_report(self):
-        """Rank identities of the tautological sequences, per column."""
+        """Rank identities of the tautological sequences, per column.
+
+        Ranks count the singular values above 1e-9, taken component by
+        component of each block's nonzero pattern (`rank_by_components`);
+        each row keeps the smallest value kept and the largest dropped over
+        both maps (0.0 where there is none)."""
         if not self.extended:
             raise RuntimeError("exactness needs the extended complex")
         rows = []
@@ -633,8 +658,8 @@ class GComplex:
                 for q in (0, 1):
                     i_blk = self.iota_blocks[((bm, q), (bs, q))]
                     e_blk = self.eps_blocks[((bq, q), (bm, q))]
-                    ri = np.linalg.matrix_rank(i_blk, tol=1e-9)
-                    re = np.linalg.matrix_rank(e_blk, tol=1e-9)
+                    ri, ki, di = rank_by_components(i_blk, 1e-9)
+                    re, ke, de = rank_by_components(e_blk, 1e-9)
                     comp = np.abs(e_blk @ i_blk).max() if i_blk.size else 0.0
                     rows.append({
                         "part": part, "ext": ext, "degree": q,
@@ -644,6 +669,9 @@ class GComplex:
                         "rank_iota": int(ri),
                         "rank_eps": int(re),
                         "compose_residual": float(comp),
+                        "sv_kept_min": min([k for k in (ki, ke) if k],
+                                           default=0.0),
+                        "sv_dropped_max": max(di, de),
                         "exact": bool(ri == i_blk.shape[1]
                                       and re == e_blk.shape[0]
                                       and ri + re == i_blk.shape[0]),

@@ -3,7 +3,8 @@
 Every space here carries an integer bidegree (k, l) per basis vector; the
 reduced degree k - l drives all sign rules.  Maps are dense complex matrices
 together with a bidegree shift, or a `Gather` when they have one nonzero
-per row (d-bar, H, P and the trace pairing); the cohomology of a
+per row (d-bar, H, P and the trace pairing); ranks are counted over the
+connected components of a matrix's nonzero pattern; the cohomology of a
 differential, with harmonic representatives, and the Koszul signs are what
 the sphere complexes and the homotopy transfer machinery build on.
 """
@@ -181,6 +182,63 @@ class Gather:
         out = np.zeros(self.shape, dtype=self.val.dtype)
         out[np.arange(self.shape[0]), self.col] = self.val
         return out
+
+
+def class_runs(keys):
+    """Stable argsort of integer keys and the (key, start, stop) of each
+    run of equal keys in that order (indices ascending within a run)."""
+    order = np.argsort(keys, kind="stable")
+    k = np.asarray(keys)[order]
+    if not len(k):
+        return order, []
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    stops = np.r_[starts[1:], len(k)]
+    return order, list(zip(k[starts].tolist(), starts.tolist(),
+                           stops.tolist()))
+
+
+def _components(a, b, n):
+    """Component label of each of n nodes joined by the edges (a[i], b[i]):
+    the smallest node of its component.  Each round hooks both ends of
+    every edge, and their current labels, onto the smaller label, then
+    jumps pointers until every label is its own."""
+    lab = np.arange(n)
+    while True:
+        lo = np.minimum(lab[a], lab[b])
+        new = lab.copy()
+        for ends in (a, b, lab[a], lab[b]):
+            np.minimum.at(new, ends, lo)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def rank_by_components(A, tol):
+    """Rank of A at the absolute tol (singular values > tol count, as in
+    np.linalg.matrix_rank), the smallest singular value kept and the
+    largest dropped (0.0 where there is none).
+
+    The SVDs run on the connected components of A's exact nonzero pattern,
+    rows and columns the two sides of a bipartite graph.  Permuted to
+    block-diagonal form, A's singular values are its blocks' together with
+    exact zeros, so the rank is the whole matrix's."""
+    A = np.asarray(A)
+    m, n = A.shape
+    rows, cols = np.nonzero(A)
+    order, runs = class_runs(_components(rows, m + cols, m + n))
+    rank, kept, dropped = 0, np.inf, 0.0
+    for _, start, stop in runs:
+        nodes = order[start:stop]
+        r, c = nodes[nodes < m], nodes[nodes >= m] - m
+        if len(r) and len(c):
+            s = np.linalg.svd(A[np.ix_(r, c)], compute_uv=False)
+            big = s > tol
+            rank += int(big.sum())
+            kept = min(kept, s[big].min(initial=np.inf))
+            dropped = max(dropped, s[~big].max(initial=0.0))
+    return rank, (float(kept) if rank else 0.0), float(dropped)
 
 
 def support_max(fn, *ops):

@@ -31,7 +31,7 @@ from functools import reduce
 from itertools import combinations, permutations
 
 from .graded import (Gather, exterior_algebra, koszul_sign_permutation,
-                     support_max)
+                     rank_by_components, support_max)
 from .gcomplex import GComplex
 from .sphere import LineBundleModel
 
@@ -523,21 +523,20 @@ def quasi_iso_linear(con, d2=None):
     map on cohomology is an isomorphism.
     """
     psi, _, m1 = con.perturbed(d2)
-    # the rank counts need d dense
-    dtot = con.d.dense() + (0 if d2 is None else np.asarray(d2, complex))
+    # the rank counts need d dense; they run over its nonzero components
+    dtot = con.d.dense() + (0 if d2 is None else np.asarray(d2))
     cochain = _amax(dtot @ psi - psi @ m1)
-    rk_d = np.linalg.matrix_rank(dtot, tol=1e-8)
-    rk_1 = np.linalg.matrix_rank(m1, tol=1e-10) if con.nharm else 0
-    dim_h_target = con.dim - 2 * rk_d
-    dim_h_source = con.nharm - 2 * rk_1
+    rk_d = rank_by_components(dtot, 1e-8)[0]
+    rk_1 = induced = 0
     if con.nharm:
         # null space of m1 by scipy's rule: cut at 1e-10 of the largest
         _, s, vh = np.linalg.svd(m1)
+        rk_1 = int(np.sum(s > 1e-10))
         ker = vh[np.sum(s > 1e-10 * s.max()):].conj().T
         stacked = np.hstack([dtot, psi @ ker])
-        induced = np.linalg.matrix_rank(stacked, tol=1e-8) - rk_d
-    else:
-        induced = 0
+        induced = rank_by_components(stacked, 1e-8)[0] - rk_d
+    dim_h_target = con.dim - 2 * rk_d
+    dim_h_source = con.nharm - 2 * rk_1
     return {
         "psi": psi, "m1": m1, "cochain_residual": cochain,
         "dim_h_source": int(dim_h_source),

@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from twistorbf import gcomplex
 from twistorbf.gcomplex import (_RESOLUTION, GComplex, _radial_sum,
                                 trace_weights)
-from twistorbf.graded import BiDegree
+from twistorbf.graded import BiDegree, rank_by_components
 from twistorbf.radial import SphereGrid
 from twistorbf.sphere import LineBundleModel, build_model
 from twistorbf.suites import (SuiteConfig, _block_product, _blocks_max,
@@ -350,7 +351,7 @@ def test_gathers_match_kron_blocks(trunc, ext):
 def test_signed_insertion_negates_form_columns():
     # the grid oracle's unsigned blocks, negated on the form columns
     g = GComplex(5, extended=True)
-    raw = grid_resolution_blocks(g, {}, signed=False)["iota"]
+    raw = grid_resolution_blocks(g, oracle_grid(g), {}, signed=False)["iota"]
     assert raw.keys() == g.iota_blocks.keys()
     for ((bt, qt), (bs, qs)), blk in raw.items():
         assert qt == qs and np.any(blk)
@@ -405,7 +406,12 @@ def test_exactness_report_builds_no_dense_map():
 #
 # The oracles below are the 2-D grid formulas the complex used before its
 # integrals became radial sums: every integral is summed over all points of
-# the complex's SphereGrid, with no selection rule.
+# a SphereGrid on the complex's radial nodes (48 x 96 by default), with no
+# selection rule.
+
+def oracle_grid(g):
+    return SphereGrid(g.radial.n_nodes)
+
 
 def _grid_values(model, q, grid, cache):
     key = (id(model), q)
@@ -415,11 +421,11 @@ def _grid_values(model, q, grid, cache):
     return cache[key]
 
 
-def grid_fun_tensor(g, term, cache):
+def grid_fun_tensor(g, grid, term, cache):
     bx, qx, by, qy, bt, qt = term[:6]
-    vx, _ = _grid_values(g.blocks[bx].model, qx, g.grid, cache)
-    vy, _ = _grid_values(g.blocks[by].model, qy, g.grid, cache)
-    vt, wfac = _grid_values(g.blocks[bt].model, qt, g.grid, cache)
+    vx, _ = _grid_values(g.blocks[bx].model, qx, grid, cache)
+    vy, _ = _grid_values(g.blocks[by].model, qy, grid, cache)
+    vt, wfac = _grid_values(g.blocks[bt].model, qt, grid, cache)
     wt = np.conj(vt) * wfac
     out = np.empty((len(vx), len(vy), len(vt)), dtype=complex)
     for t in range(len(vt)):
@@ -427,30 +433,30 @@ def grid_fun_tensor(g, term, cache):
     return out
 
 
-def grid_trace_vector(g, cache):
+def grid_trace_vector(g, grid, cache):
     out = np.zeros(g.dim, dtype=complex)
     b = g.blocks[g.trace_block]
-    vals, _ = _grid_values(b.model, 1, g.grid, cache)
+    vals, _ = _grid_values(b.model, 1, grid, cache)
     out[g.block_slice(g.trace_block, 1)] = np.tile(
-        (vals * trace_weights(g.grid)).sum(axis=1), b.mult)
+        (vals * trace_weights(grid)).sum(axis=1), b.mult)
     return out
 
 
-def grid_pairing_matrix(g, cache):
+def grid_pairing_matrix(g, grid, cache):
     P = np.zeros((g.dim, g.dim), dtype=complex)
     for bx, qx, by, qy, bt, qt, sgn, mt in g.wiring:
         if bt != g.trace_block or qt != 1:
             continue
-        vx, _ = _grid_values(g.blocks[bx].model, qx, g.grid, cache)
-        vy, _ = _grid_values(g.blocks[by].model, qy, g.grid, cache)
-        fp = (vx * trace_weights(g.grid)) @ vy.T
+        vx, _ = _grid_values(g.blocks[bx].model, qx, grid, cache)
+        vy, _ = _grid_values(g.blocks[by].model, qy, grid, cache)
+        fp = (vx * trace_weights(grid)) @ vy.T
         P[g.block_slice(bx, qx),
           g.block_slice(by, qy)] += sgn * np.kron(mt.sum(axis=2), fp)
     return P
 
 
-def grid_resolution_blocks(g, cache, signed=True):
-    z, D = g.grid.z, g.grid.D
+def grid_resolution_blocks(g, grid, cache, signed=True):
+    z, D = grid.z, grid.D
     rD = 1.0 / np.sqrt(D)
     factors = {"1": rD, "z": z * rD, "-z": -z * rD, "zz": z * z / D,
                "-z/D": -z / D, "1/D": 1.0 / D}
@@ -462,8 +468,8 @@ def grid_resolution_blocks(g, cache, signed=True):
             bt = target._find_block(ext, 0, part)
             src, tgt = g.blocks[bs], target.blocks[bt]
             for q in (0, 1):
-                vs, _ = _grid_values(src.model, q, g.grid, cache)
-                vt, wfac = _grid_values(tgt.model, q, g.grid, cache)
+                vs, _ = _grid_values(src.model, q, grid, cache)
+                vt, wfac = _grid_values(tgt.model, q, grid, cache)
                 ds, dt = len(vs), len(vt)
                 blk = np.zeros((tgt.mult, dt, src.mult, ds), dtype=complex)
                 for mt, ms, f, negate in pattern:
@@ -502,16 +508,16 @@ def _integrals(g):
                          ids=["plain5", "extended5", "extended8"])
 def test_radial_integrals_match_grid_formulas(trunc, ext):
     g = GComplex(trunc, extended=ext)
-    cache = {}
-    want = {"trace_vector": grid_trace_vector(g, cache)}
+    grid, cache = oracle_grid(g), {}
+    want = {"trace_vector": grid_trace_vector(g, grid, cache)}
     if not ext:
-        want["pairing"] = grid_pairing_matrix(g, cache)
+        want["pairing"] = grid_pairing_matrix(g, grid, cache)
     for term in g.wiring:
         key = ("fun",) + _fun_key(g, term)
         if key not in want:
-            want[key] = grid_fun_tensor(g, term, cache)
+            want[key] = grid_fun_tensor(g, grid, term, cache)
     if ext:
-        for name, blocks in grid_resolution_blocks(g, cache).items():
+        for name, blocks in grid_resolution_blocks(g, grid, cache).items():
             for key, blk in blocks.items():
                 want[(name, key)] = blk
     got = _integrals(g)
@@ -524,7 +530,7 @@ def test_radial_integrals_match_grid_formulas(trunc, ext):
 def test_radial_rule_is_exact_for_the_integrands():
     # a finer rule changes nothing beyond roundoff
     base = _integrals(GComplex(8, extended=True))
-    fine = _integrals(GComplex(8, extended=True, grid=SphereGrid(64, 128)))
+    fine = _integrals(GComplex(8, extended=True, n_radial=64))
     assert base.keys() == fine.keys()
     assert max(_rel(fine[k], base[k]) for k in base) < 1e-12
 
@@ -545,10 +551,10 @@ def test_iota_projection_guard_reports_leak():
         g._project_values(src, factor, tgt, wfac, True)
     reported = float(str(err.value).split(":")[1])
     # the same leak measured on the 2-D grid
-    cache = {}
-    vs, _ = _grid_values(ms, 0, g.grid, cache)
-    vt, wt = _grid_values(mt, 0, g.grid, cache)
-    values = vs * g.grid.z / np.sqrt(g.grid.D)
+    grid, cache = oracle_grid(g), {}
+    vs, _ = _grid_values(ms, 0, grid, cache)
+    vt, wt = _grid_values(mt, 0, grid, cache)
+    values = vs * grid.z / np.sqrt(grid.D)
     rec = ((np.conj(vt) * wt) @ values.T).T @ vt
     leak = np.abs(rec - values).max() / max(np.abs(values).max(), 1.0)
     assert leak > 1e-3
@@ -605,3 +611,136 @@ def test_side_conditions_stay_small_at_truncation_12():
     peak = [ln.split()[1] for ln in out.stdout.splitlines()
             if ln.startswith("VmHWM:")]
     assert int(peak[0]) < 1024 ** 2     # kB: 1 GB
+
+
+# -- ranks by components and the real resolution maps ------------------------
+
+@pytest.fixture(scope="module")
+def extended():
+    made = {}
+
+    def get(trunc):
+        if trunc == L:
+            return GE
+        if trunc not in made:
+            made[trunc] = GComplex(trunc, extended=True)
+        return made[trunc]
+    return get
+
+
+@pytest.mark.parametrize("trunc", [5, 8, 12])
+def test_rank_by_components_matches_matrix_rank_on_blocks(trunc, extended):
+    g = extended(trunc)
+    for blocks in (g.iota_blocks, g.eps_blocks):
+        for blk in blocks.values():
+            assert (rank_by_components(blk, 1e-9)[0]
+                    == np.linalg.matrix_rank(blk, tol=1e-9))
+
+
+@pytest.mark.parametrize("trunc", [4, 6])
+def test_rank_by_components_matches_matrix_rank_on_dbar(trunc):
+    d = GComplex(trunc).dbar_full
+    assert (rank_by_components(d, 1e-8)[0]
+            == np.linalg.matrix_rank(d, tol=1e-8))
+
+
+def test_exactness_report_reads_no_whole_block_rank(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix_rank called")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    assert all(r["exact"] for r in GComplex(5, extended=True)
+               .exactness_report())
+
+
+@pytest.mark.parametrize("trunc", [6, 12])
+def test_exactness_report_rank_margin(trunc, extended):
+    # the kept and dropped singular values over the components are those
+    # of the whole blocks
+    g = extended(trunc)
+    rows = g.exactness_report()
+    assert len(rows) == 8
+    for row in rows:
+        bs = g._find_block(row["ext"], -1, row["part"])
+        bm = g._find_block(row["ext"], 0, row["part"])
+        bq = g.quotient._find_block(row["ext"], 0, row["part"])
+        q = row["degree"]
+        s = np.concatenate([np.linalg.svd(blk, compute_uv=False) for blk in (
+            g.iota_blocks[((bm, q), (bs, q))],
+            g.eps_blocks[((bq, q), (bm, q))])])
+        assert row["sv_kept_min"] == pytest.approx(s[s > 1e-9].min(),
+                                                   rel=1e-12)
+        assert row["sv_dropped_max"] == s[s <= 1e-9].max(initial=0.0) == 0.0
+        assert row["sv_kept_min"] > 0.2
+
+
+def test_resolution_maps_are_real():
+    for blocks in (GE.iota_blocks, GE.eps_blocks):
+        assert {blk.dtype for blk in blocks.values()} == {np.dtype(float)}
+    assert GE.d_iota_signed.dtype == GE.eps_matrix.dtype == np.float64
+    assert GE.trace_vector.dtype == complex
+
+
+def test_complex_profile_is_refused(monkeypatch):
+    grid_data = LineBundleModel.grid_data
+
+    def turned(self, grid, degree):
+        vals, wfac = grid_data(self, grid, degree)
+        return vals * np.exp(0.25j), wfac
+
+    monkeypatch.setattr(LineBundleModel, "grid_data", turned)
+    with pytest.raises(ValueError, match="radial profile is not real: "
+                       "largest [|]imag[|] ") as err:
+        GComplex(3)
+    # the residual is the imaginary part relative to max(|profile|, 1):
+    # sin(1/4) times the largest |profile| when that is below 1
+    reported = float(str(err.value).rsplit(" ", 1)[1])
+    assert 0.1 < reported < np.sin(0.25) * 1.01
+
+
+def weight_class_loop(x, y, t, wfac):
+    """The radial sum as a loop over np.unique weight classes, scattered
+    with np.ix_: the form `_radial_sum` had before its classes became the
+    runs of one argsort."""
+    (vx, wx), (vy, wy), (vt, wt) = x, y, t
+    tc = np.conj(vt) * wfac
+    out = np.zeros((len(wx), len(wy), len(wt)),
+                   dtype=np.result_type(vx, vy, tc))
+
+    def classes(w):
+        return {k: np.nonzero(w == k)[0] for k in np.unique(w)}
+    cls_t = classes(wt)
+    for a, ix in classes(wx).items():
+        for b, iy in classes(wy).items():
+            it = cls_t.get(a + b)
+            if it is None:
+                continue
+            p = (vx[ix, None, :] * vy[None, iy, :]).reshape(-1, tc.shape[1])
+            out[np.ix_(ix, iy, it)] = (p @ tc[it].T).reshape(
+                len(ix), len(iy), len(it))
+    return out
+
+
+@pytest.mark.parametrize("trunc,ext", [(5, True), (8, True), (12, True),
+                                       (6, False)])
+def test_radial_sum_equals_weight_class_loop(trunc, ext, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        out = _radial_sum(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(gcomplex, "_radial_sum", spy)
+    g = GComplex(trunc, extended=ext)
+    if not ext:
+        g.pairing_matrix()
+        for term in g.wiring:
+            g._fun_tensor(term)
+    assert calls
+    for (x, y, t, wfac), out in calls:
+        assert np.array_equal(out, weight_class_loop(x, y, t, wfac))
+        # the complex path too
+        cx, cy, ct = ((v + 0j, w) for v, w in (x, y, t))
+        assert np.array_equal(_radial_sum(cx, cy, ct, wfac),
+                              weight_class_loop(cx, cy, ct, wfac))

@@ -10,10 +10,12 @@ from twistorbf.graded import (
     Gather,
     GradedMap,
     Pairing,
+    class_runs,
     cohomology,
     exterior_algebra,
     koszul_sign,
     koszul_sign_permutation,
+    rank_by_components,
     support_max,
 )
 
@@ -298,3 +300,78 @@ def test_exterior_algebra_order_and_structure():
                 assert np.count_nonzero(row) == 1
                 assert row[masks.index(s | t)] == (-1) ** (
                     len(bits[i]) * len(bits[j])) * C[j, i, masks.index(s | t)]
+
+
+def test_class_runs():
+    order, runs = class_runs(np.array([2, -1, 2, 0, -1, 2]))
+    assert order.tolist() == [1, 4, 3, 0, 2, 5]
+    assert runs == [(-1, 0, 2), (0, 2, 3), (2, 3, 6)]
+    order, runs = class_runs(np.zeros(0, dtype=int))
+    assert len(order) == 0 and runs == []
+
+
+def _full_margin(A, tol):
+    s = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
+    kept, dropped = s[s > tol], s[s <= tol]
+    return (len(kept), kept.min(initial=np.inf) if len(kept) else 0.0,
+            dropped.max(initial=0.0))
+
+
+def _planted_block_diagonal(rng, cplx):
+    """Four dense blocks, one of rank 2 in 5 x 4 and one of singular
+    values 1 and 1e-12, scattered by row and column permutations."""
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if cplx else x
+
+    shapes = [(3, 3), (5, 4), (1, 2), (2, 2)]
+    blocks = [draw(*sh) for sh in shapes]
+    blocks[1] = draw(5, 2) @ draw(2, 4)
+    q, _ = np.linalg.qr(draw(2, 2))
+    blocks[3] = q @ np.diag([1.0, 1e-12]) @ q.conj().T
+    m, n = (sum(sh[k] for sh in shapes) + 2 for k in (0, 1))
+    A = np.zeros((m, n), dtype=complex if cplx else float)
+    r = c = 0
+    for b in blocks:
+        A[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    # two zero rows and columns are left at the end
+    return A[rng.permutation(m)][:, rng.permutation(n)]
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_rank_by_components_on_planted_blocks(cplx):
+    rng = np.random.default_rng(3)
+    A = _planted_block_diagonal(rng, cplx)
+    rank, kept, dropped = rank_by_components(A, 1e-9)
+    assert rank == np.linalg.matrix_rank(A, tol=1e-9) == 3 + 2 + 1 + 1
+    want = _full_margin(A, 1e-9)
+    assert kept == pytest.approx(want[1], rel=1e-12)
+    # the dropped value: 1e-12 planted, the rank-2 block's zeros roundoff
+    assert dropped == pytest.approx(want[2], abs=1e-14)
+    assert 0.9e-12 < dropped < 1.1e-12
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0), (4, 6)])
+def test_rank_by_components_of_empty_and_zero(shape):
+    assert rank_by_components(np.zeros(shape), 1e-9) == (0, 0.0, 0.0)
+
+
+def test_rank_by_components_on_one_dense_block():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((7, 3)) @ rng.standard_normal((3, 9))
+    rank, kept, dropped = rank_by_components(A, 1e-9)
+    assert rank == np.linalg.matrix_rank(A, tol=1e-9) == 3
+    want = _full_margin(A, 1e-9)
+    assert kept == pytest.approx(want[1], rel=1e-12)
+    assert dropped == pytest.approx(want[2], abs=1e-13)
+
+
+def test_rank_by_components_on_a_chain():
+    # a bidiagonal pattern is one component reached only edge by edge
+    n = 200
+    A = np.eye(n) + np.diag(np.full(n - 1, 0.5), 1)
+    assert rank_by_components(A, 1e-9)[0] == n
+    A[n // 2, n // 2] = 0.0
+    A[n // 2, n // 2 + 1] = 0.0     # splits the chain, drops one rank
+    assert rank_by_components(A, 1e-9)[0] == np.linalg.matrix_rank(A) == n - 1

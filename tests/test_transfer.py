@@ -247,6 +247,15 @@ class TestExtendedComplex:
         # the correction genuinely moves the inclusion
         assert np.abs(r["psi"] - self.con.i_mat).max() > 0.1
 
+    def test_quasi_iso_reads_no_whole_operator_rank(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("matrix_rank called")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+        for con, d2 in ((CON, None), (self.con, self.ge.d_iota_signed)):
+            r = quasi_iso_linear(con, d2=d2)
+            assert r["isomorphism"] and r["induced_rank"] == 16
+
     def test_leibniz_of_transferred_differential(self):
         tb = transfer(self.con, max_arity=2, d2=self.ge.d_iota_signed)
         rng = np.random.default_rng(9)
