@@ -301,20 +301,14 @@ class GComplex:
     # -- layout -----------------------------------------------------------
 
     def _layout(self):
-        labels, degrees = [], []
-        self.offsets = {}
-        pos = 0
+        self.offsets, bids, sizes = {}, [], []
         for bi, b in enumerate(self.blocks):
             for q in (0, 1):
-                self.offsets[(bi, q)] = pos
-                sub = b.model.space0 if q == 0 else b.model.space1
-                for m in range(b.mult):
-                    for lab in sub.labels:
-                        labels.append("b%d.q%d.m%d.%s" % (bi, q, m, lab))
-                        degrees.append(b.bidegree + BiDegree(q, 0))
-                pos += b.dim(q)
-        self.dim = pos
-        self.space = BigradedSpace(labels, degrees)
+                self.offsets[(bi, q)] = sum(sizes)
+                bids.append(b.bidegree + BiDegree(q, 0))
+                sizes.append(b.dim(q))
+        self.dim = sum(sizes)
+        self.space = BigradedSpace(np.repeat(bids, sizes, axis=0))
 
     def block_slice(self, bi, q):
         start = self.offsets[(bi, q)]

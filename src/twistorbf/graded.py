@@ -1,12 +1,13 @@
 """Bigraded vector spaces, graded maps and Koszul sign bookkeeping.
 
-Every space here carries an integer bidegree (k, l) per basis vector; the
-reduced degree k - l drives all sign rules.  Maps are dense complex matrices
-together with a bidegree shift, or a `Gather` when they have one nonzero
-per row (d-bar, H, P and the trace pairing); ranks are counted over the
-connected components of a matrix's nonzero pattern; the cohomology of a
-differential, with harmonic representatives, and the Koszul signs are what
-the sphere complexes and the homotopy transfer machinery build on.
+Every space here is graded by one integer array of bidegrees (k, l),
+shaped (n, 2), a row per basis vector; the reduced degree k - l drives
+all sign rules.  Maps are dense complex matrices together with a bidegree
+shift, or a `Gather` when they have one nonzero per row (d-bar, H, P and
+the trace pairing); ranks are counted over the connected components of a
+matrix's nonzero pattern; the cohomology of a differential, with harmonic
+representatives, and the Koszul signs are what the sphere complexes and
+the homotopy transfer machinery build on.
 """
 
 from __future__ import annotations
@@ -97,20 +98,21 @@ def koszul_sign_permutation(perm, degrees):
 
 
 class BigradedSpace:
-    """Finite ordered basis, each vector labelled and carrying a BiDegree."""
+    """Finite ordered basis graded by an integer array of bidegrees (k, l),
+    shaped (n, 2), one row per basis vector."""
 
-    def __init__(self, labels, degrees):
-        if len(labels) != len(degrees):
-            raise ValueError("labels and degrees must align")
-        self.labels = list(labels)
-        self.degrees = [BiDegree(*d) for d in degrees]
+    def __init__(self, degrees):
+        self.degrees = np.asarray(degrees, dtype=int)
+        if self.degrees.ndim != 2 or self.degrees.shape[1] != 2:
+            raise ValueError("degrees must be shaped (n, 2), not %s"
+                             % (self.degrees.shape,))
 
     @property
     def dim(self):
-        return len(self.labels)
+        return len(self.degrees)
 
     def reduced_degrees(self):
-        return np.array([d.reduced for d in self.degrees], dtype=int)
+        return self.degrees[:, 0] - self.degrees[:, 1]
 
     def __repr__(self):
         return "BigradedSpace(dim=%d)" % self.dim
@@ -135,9 +137,7 @@ class GradedMap:
 
     def degree_violation(self):
         """Largest |entry| sitting at an incompatible bidegree pair."""
-        tdeg = np.array(self.target.degrees, dtype=int).reshape(-1, 2)
-        want = np.array(self.source.degrees, dtype=int).reshape(-1, 2)
-        want += self.shift
+        tdeg, want = self.target.degrees, self.source.degrees + self.shift
         bad = ((tdeg[:, 0, None] != want[None, :, 0])
                | (tdeg[:, 1, None] != want[None, :, 1]))
         return float(np.abs(self.matrix[bad]).max(initial=0.0))
@@ -248,6 +248,13 @@ def support_max(fn, *ops):
         [np.nonzero(op.val)[0], op.col[op.val != 0]] for op in ops]), axis=1)
     vals = [np.where(op.col[rows] == cols, op.val[rows], 0) for op in ops]
     return float(np.abs(fn(*vals)).max(initial=0.0))
+
+
+def chain_identity_residual(d, H, P):
+    """Largest |entry| of d H + H d - (1 - P), for n x n gathers."""
+    eye = Gather(d.shape[0], slice(None), np.arange(d.shape[0]), 1.0)
+    return support_max(lambda a, b, e, p: a + b - (e - p),
+                       d @ H, H @ d, eye, P)
 
 
 def _rank(mat, tol=1e-10):

@@ -95,12 +95,9 @@ class AAlgebra:
     of their wedge, and everything of reduced degree > 2 dies.
     """
 
-    labels = ("1", "e1", "e2", "e3", "e4", "f1", "f2", "f3")
-
     def __init__(self):
         self.dim = 8
-        degs = [(0, 0)] + [(3, 2)] * 4 + [(6, 4)] * 3
-        self.space = BigradedSpace(self.labels, degs)
+        self.space = BigradedSpace([(0, 0)] + [(3, 2)] * 4 + [(6, 4)] * 3)
         emb = np.zeros((16, 8), dtype=complex)
         emb[SUB_INDEX[()], 0] = 1.0
         for mu in range(4):
@@ -152,10 +149,8 @@ class UAlgebra:
         self.a = a_algebra if a_algebra is not None else A_ALG
         na = self.a.dim
         self.dim = 2 * na
-        labels = list(self.a.labels) + [lab + "*" for lab in self.a.labels]
-        degs = list(self.a.space.degrees)
-        degs += [(11 - d.k, 8 - d.l) for d in self.a.space.degrees]
-        self.space = BigradedSpace(labels, degs)
+        degs = self.a.space.degrees
+        self.space = BigradedSpace(np.vstack([degs, (11, 8) - degs]))
         red = self.space.reduced_degrees()
         c = np.zeros((self.dim, self.dim, self.dim))
         ca = self.a.structure

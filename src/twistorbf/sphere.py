@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from .graded import BigradedSpace, Gather, GradedMap, cohomology
+from .graded import (BigradedSpace, Gather, GradedMap,
+                     chain_identity_residual, cohomology)
 from .radial import RadialFun, hermitian_inner
 
 
@@ -202,14 +203,8 @@ class LineBundleModel:
         self.dbar_mat, self.hom_mat = dt[dim0:, :dim0], ht[:dim0, dim0:]
         self.proj0_mat, self.proj1_mat = pt[:dim0, :dim0], pt[dim0:, dim0:]
 
-        labels = (["s[p=%d,w=%d]" % (p, w) for p, w in zip(self.level0, self.weights0)]
-                  + ["h[w=%d]" % w for w in self.weights1[:self.n_harm1]]
-                  + ["f[p=%d,w=%d]" % (p, w) for p, w in
-                     zip(self.src_level1[self.n_harm1:], self.weights1[self.n_harm1:])])
-        degrees = [(0, 0)] * self.dim0 + [(1, 0)] * self.dim1
-        self.space0 = BigradedSpace(labels[:self.dim0], degrees[:self.dim0])
-        self.space1 = BigradedSpace(labels[self.dim0:], degrees[self.dim0:])
-        self.total_space = BigradedSpace(labels, degrees)
+        self.total_space = BigradedSpace(
+            np.repeat([(0, 0), (1, 0)], [dim0, self.dim1], axis=0))
 
         self.dbar_total = GradedMap(self.total_space, self.total_space, (1, 0), dt)
         self.homotopy_total = GradedMap(self.total_space, self.total_space, (-1, 0), ht)
@@ -298,12 +293,10 @@ class LineBundleModel:
         return (out["dims"].get(0, 0), out["dims"].get(1, 0))
 
     def chain_homotopy_residual(self):
-        """Spectral norm of dbar H + H dbar - (1 - P)."""
-        dim = self.dim0 + self.dim1
-        lhs = (self.dbar_total.matrix @ self.homotopy_total.matrix
-               + self.homotopy_total.matrix @ self.dbar_total.matrix)
-        rhs = np.eye(dim) - self.projector_total.matrix
-        return float(np.linalg.norm(lhs - rhs, 2))
+        """Spectral norm of dbar H + H dbar - (1 - P): the residual is
+        diagonal (dbar and H pair sections with forms one to one), so it
+        is the largest entry."""
+        return chain_identity_residual(self.dbar, self.hom, self.proj)
 
 
 def build_model(n, levels):

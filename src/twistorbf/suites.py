@@ -64,10 +64,13 @@ class SuiteConfig:
     def validate(self):
         if self.suite not in SUITE_NAMES:
             raise ValueError("unknown suite %r" % (self.suite,))
-        for name in ("truncation", "quadrature", "rank", "max_arity"):
+        for name in ("truncation", "quadrature", "rank"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError("%s must be positive" % name)
+        if not 2 <= self.max_arity <= 4:
+            raise ValueError("max_arity must be 2, 3 or 4 (the arities "
+                             "transfer builds), not %d" % self.max_arity)
         if self.tol is not None and self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.n_range is not None:

@@ -30,8 +30,9 @@ import numpy as np
 from functools import reduce
 from itertools import combinations, permutations
 
-from .graded import (Gather, exterior_algebra, koszul_sign_permutation,
-                     rank_by_components, support_max)
+from .graded import (Gather, chain_identity_residual, exterior_algebra,
+                     koszul_sign_permutation, rank_by_components,
+                     support_max)
 from .gcomplex import GComplex
 from .sphere import LineBundleModel
 
@@ -141,12 +142,10 @@ class Contraction:
 
     def _validate(self, tol):
         d, H, P = self.d, self.H, self.proj
-        eye = Gather(self.dim, slice(None), np.arange(self.dim), 1.0)
         checks = {}
         checks["projector idempotent"] = support_max(
             lambda a, b: a - b, P @ P, P)
-        checks["chain identity"] = support_max(
-            lambda a, b, e, p: a + b - (e - p), d @ H, H @ d, eye, P)
+        checks["chain identity"] = chain_identity_residual(d, H, P)
         checks["homotopy squares to zero"] = support_max(abs, H @ H)
         checks["homotopy annihilates harmonics"] = support_max(abs, H @ P)
         checks["projector kills homotopy range"] = support_max(abs, P @ H)

@@ -71,6 +71,11 @@ def test_negative_config_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["--suite", "cohomology", "--truncation", "-3"])
     assert exc.value.code == 2
+    for arity in ("1", "5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--suite", "htt", "--truncation", "5",
+                  "--max-arity", arity])
+        assert exc.value.code == 2
 
 
 def test_reports_identical_across_runs(capsys):
@@ -104,6 +109,9 @@ def test_run_suite_rejects_bad_config():
         run_suite(SuiteConfig(suite="bogus"))
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(suite="bv", rank=0))
+    for arity in (0, 1, 5):
+        with pytest.raises(ValueError, match="max_arity must be 2, 3 or 4"):
+            run_suite(SuiteConfig(suite="htt", max_arity=arity))
 
 
 def test_htt_suite_matches_its_parts(capsys):

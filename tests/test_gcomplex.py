@@ -274,6 +274,22 @@ def test_bidegrees_of_blocks():
         assert blk.bidegree == expect
 
 
+@pytest.mark.parametrize("trunc,extended", [(4, False), (5, True),
+                                             (8, True)])
+def test_space_degrees_follow_the_block_pieces(trunc, extended):
+    g = GComplex(trunc, extended=extended)
+    degs = g.space.degrees
+    assert isinstance(degs, np.ndarray) and degs.dtype.kind == "i"
+    assert degs.shape == (g.dim, 2)
+    seen = 0
+    for bi, b in enumerate(g.blocks):
+        for q in (0, 1):
+            sl = g.block_slice(bi, q)
+            assert (degs[sl] == b.bidegree + BiDegree(q, 0)).all()
+            seen += sl.stop - sl.start
+    assert seen == g.dim
+
+
 def test_extended_needs_depth():
     with pytest.raises(ValueError):
         GComplex(4, extended=True)

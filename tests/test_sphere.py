@@ -172,6 +172,14 @@ def test_chain_homotopy_identity():
         assert m.chain_homotopy_residual() < 1e-13
 
 
+@pytest.mark.parametrize("n", range(-6, 5))
+def test_chain_residual_equals_the_dense_spectral_norm(n):
+    m = build_model(n, max(abs(n) + 4, 8))
+    d, h, p = m.dbar.dense(), m.hom.dense(), m.proj.dense()
+    dense = np.linalg.norm(d @ h + h @ d - np.eye(len(d)) + p, 2)
+    assert m.chain_homotopy_residual() == pytest.approx(dense, abs=1e-16)
+
+
 def test_grid_projection_recovers_coefficients():
     rng = np.random.default_rng(3)
     for n in (-4, 0, 2):

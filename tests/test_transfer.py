@@ -167,6 +167,20 @@ class TestLineBundles:
         assert (con.harm_degrees == 1).all()
 
 
+@pytest.mark.parametrize("n", [-3, 0, 2])
+def test_chain_identity_residual_sees_a_planted_error(n):
+    m = build_model(n, 6)
+    assert m.chain_homotopy_residual() < 1e-14
+    Contraction(None, m.dbar, m.hom, m.proj,
+                m.total_space.reduced_degrees())
+    i = np.flatnonzero(m.hom.val)[0]
+    m.hom.val[i] *= 1 + 1e-6
+    assert m.chain_homotopy_residual() == pytest.approx(1e-6, rel=1e-6)
+    with pytest.raises(ValueError, match="chain identity residual 1.0"):
+        Contraction(None, m.dbar, m.hom, m.proj,
+                    m.total_space.reduced_degrees())
+
+
 class TestSheafComplex:
     def test_side_conditions(self):
         assert all(v < 1e-10 for v in CON.side_conditions.values())
