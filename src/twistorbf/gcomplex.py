@@ -36,7 +36,13 @@ the one place that decides which pairs of block pieces multiply, into
 which piece, with what Koszul sign and what multiplicity tensor.  Every
 product path reads it: single, batched and contracted coefficient
 products, left multiplication operators, the trace pairing, and the grid
-products of the bv module.
+products of the bv module.  The four coefficient products run through one
+core (`_products`), on the support of their inputs: batches of vectors
+travel as `graded.Stack`s (values on a set of columns), and each wiring
+term contracts only the rows and basis functions where its input pieces
+are nonzero, with a function tensor built for exactly those functions and
+the target functions the weight rule lets them reach.  No function tensor
+outlives the call that builds it.
 
 Linear operators are stored in the shape they have: dbar, the homotopy H
 and the harmonic projector P as one `graded.Gather` each (`dbar`, `hom`,
@@ -53,9 +59,9 @@ of the whole block.  The dense n x n forms
 (`dbar_full`, `hom_full`, `proj_full`, `d_iota_signed`, `eps_matrix`) are
 assembled on first access and then cached; the suites read none of them.
 
-All caches are per-instance, the line bundle models included (an extended
-complex shares its models with its quotient), and filled lazily; instances
-are immutable after construction.
+All caches are per-instance, the line bundle models and their radial
+profiles included (an extended complex shares them with its quotient),
+and filled lazily; instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -64,8 +70,8 @@ import functools
 
 import numpy as np
 
-from .graded import (BiDegree, BigradedSpace, Gather, Pairing, class_runs,
-                     rank_by_components)
+from .graded import (BiDegree, BigradedSpace, Gather, Pairing, Stack,
+                     class_runs, rank_by_components)
 from .radial import RadialGrid
 from .sphere import build_model
 
@@ -235,6 +241,12 @@ def _radial_sum(x, y, t, wfac):
     return out
 
 
+# contraction orders of the product core: the function tensor meets the
+# small operands first, the (possibly many) rows last
+_BATCH_PATH = ["einsum_path", (0, 1), (0, 2), (0, 1)]
+_CONTRACT_PATH = ["einsum_path", (0, 4), (2, 3), (0, 2), (0, 1)]
+
+
 class GComplex:
     """The truncated complex with its differentials, trace and products."""
 
@@ -273,7 +285,6 @@ class GComplex:
         self._build_linear_maps()
         self._check_layout()
         self._build_wiring()
-        self._fun_cache = {}
         self._pairing = None
         if extended:
             self._build_resolution_maps()
@@ -313,12 +324,6 @@ class GComplex:
     def block_slice(self, bi, q):
         start = self.offsets[(bi, q)]
         return slice(start, start + self.blocks[bi].dim(q))
-
-    def piece(self, x, bi, q):
-        """View of a full vector on one block piece, shaped (mult, nfun, ...)."""
-        b = self.blocks[bi]
-        seg = x[self.block_slice(bi, q)]
-        return seg.reshape((b.mult, b.model.dim(q)) + x.shape[1:])
 
     # -- linear structure -------------------------------------------------
 
@@ -407,7 +412,7 @@ class GComplex:
         pieces with a nonzero product: piece (bx, qx) times piece (by, qy)
         lands in piece (bt, qt) with the Koszul sign and the multiplicity
         tensor mt of shape (mult_x, mult_y, mult_t).  Function tensors are
-        not held here; _fun_tensor builds them on first use.
+        not held here; each product builds the slices it contracts.
         """
         self.wiring = []
         for bx, x in enumerate(self.blocks):
@@ -441,27 +446,99 @@ class GComplex:
                         self.wiring.append((bx, qx, by, qy, bt, qx + qy,
                                             sign, mt))
 
-    def _fun_tensor(self, term):
-        """Products of a term's basis functions, projected onto the target
-        basis: shape (nfun_x, nfun_y, nfun_t)."""
-        bx, qx, by, qy, bt, qt = term[:6]
-        mx = self.blocks[bx].model
-        my = self.blocks[by].model
-        mt = self.blocks[bt].model
-        key = (mx.n, mx.levels, qx, my.n, my.levels, qy, mt.n, mt.levels, qt)
-        if key in self._fun_cache:
-            return self._fun_cache[key]
-        px, _ = self._profiles(mx, qx)
-        py, _ = self._profiles(my, qy)
-        pt, wfac = self._profiles(mt, qt)
-        out = _radial_sum(px, py, pt, wfac)
-        self._fun_cache[key] = out
-        return out
+    def _fun_tensor(self, term, fx=slice(None), fy=slice(None),
+                    ft=slice(None)):
+        """Products of a term's basis functions fx and fy projected onto its
+        target functions ft, shape (len fx, len fy, len ft), by a radial sum
+        over those functions' cached profiles; all of them by default."""
+        args = []
+        for (bi, q), f in zip((term[0:2], term[2:4], term[4:6]), (fx, fy, ft)):
+            (vals, weights), wfac = self._profiles(self.blocks[bi].model, q)
+            args.append((vals[f], weights[f]))
+        return _radial_sum(*args, wfac)
 
-    def _rows(self, X, bi, q):
-        """Rows of a stack on one block piece, shaped (rows, mult, nfun)."""
-        return X[:, self.block_slice(bi, q)].reshape(
-            X.shape[0], self.blocks[bi].mult, -1)
+    def _on_piece(self, S, bi, q):
+        """A stack's entries on one block piece: the rows and the piece's
+        basis functions with a nonzero entry, and the values there shaped
+        (rows, mult, functions); None if the piece holds no nonzero."""
+        b, lo = self.blocks[bi], self.offsets[(bi, q)]
+        i0, i1 = np.searchsorted(S.cols, (lo, lo + b.dim(q)))
+        vals = S.vals[:, i0:i1]
+        rows = np.flatnonzero(np.any(vals, axis=1))
+        if not len(rows):
+            return None
+        vals = vals[rows]
+        keep = np.any(vals, axis=0)
+        mult, fun = np.divmod(S.cols[i0:i1][keep] - lo, b.model.dim(q))
+        funs = np.zeros(b.model.dim(q), dtype=bool)
+        funs[fun] = True
+        out = np.zeros((len(rows), b.mult, funs.sum()), dtype=complex)
+        out[:, mult, (np.cumsum(funs) - 1)[fun]] = vals[:, keep]
+        return rows, np.flatnonzero(funs), out
+
+    def _products(self, X, Y, R=None):
+        """The product core: every product method runs through it.
+
+        X and Y are `Stack`s of rows.  Each wiring term contracts only the
+        rows and basis functions where its two input pieces are nonzero,
+        with the function tensor of exactly those functions, onto the
+        target functions the torus-weight rule lets them reach.  Without R,
+        returns the products of all row pairs as a Stack with values
+        (m, n, k), on the columns so reached; with R, a Stack of rows, the
+        (m, n, r) array of R[r] . (X[m] * Y[n]).
+        """
+        X, Y, R = (S if S is None else S.flat() for S in (X, Y, R))
+        # each stack on each block piece, read once
+        on_x, on_y, on_r = (S and {key: self._on_piece(S, *key)
+                                   for key in self.offsets}
+                            for S in (X, Y, R))
+        plans = []
+        for term in self.wiring:
+            bx, qx, by, qy, bt, qt, sgn, mt = term
+            if on_x[(bx, qx)] is None or on_y[(by, qy)] is None:
+                continue
+            (ax, fx, xs), (ay, fy, ys) = on_x[(bx, qx)], on_y[(by, qy)]
+            wx, wy, wt = (self._profiles(self.blocks[bi].model, q)[0][1]
+                          for bi, q in ((bx, qx), (by, qy), (bt, qt)))
+            # the target functions whose weight some input pair sums to
+            reach = np.isin(wt, np.add.outer(wx[fx], wy[fy]))
+            if R is None:
+                # the target multiplicity copies the inputs' copies reach
+                ct = np.flatnonzero(np.any(mt[np.any(xs, axis=(0, 2))][
+                    :, np.any(ys, axis=(0, 2))], axis=(0, 1)))
+                ft, rest = np.flatnonzero(reach), (ct,)
+            else:
+                if on_r[(bt, qt)] is None:
+                    continue
+                ar, fr, rs = on_r[(bt, qt)]
+                ft, rest = fr[reach[fr]], (ar, rs[:, :, reach[fr]])
+            if len(ft) and len(rest[0]):    # a target function and copy
+                plans.append((term, ax, fx, xs, ay, fy, ys, ft) + rest)
+        shape = (len(X.vals), len(Y.vals))
+        if R is not None:
+            out = np.zeros(shape + (len(R.vals),), dtype=complex)
+            for term, ax, fx, xs, ay, fy, ys, ft, ar, rs in plans:
+                out[np.ix_(ax, ay, ar)] += term[6] * np.einsum(
+                    "xyt,amx,bny,mnc,pct->abp",
+                    self._fun_tensor(term, fx, fy, ft), xs, ys, term[7], rs,
+                    optimize=_CONTRACT_PATH)
+            return out
+        # the output columns: each plan's target copies of its functions
+        targets = [self.offsets[term[4:6]] + (
+            ct[:, None] * self.blocks[term[4]].model.dim(term[5])
+            + ft).ravel() for term, *_, ft, ct in plans]
+        reached = np.zeros(self.dim, dtype=bool)
+        for t in targets:
+            reached[t] = True
+        cols = np.flatnonzero(reached)
+        out = np.zeros(shape + (len(cols),), dtype=complex)
+        for (term, ax, fx, xs, ay, fy, ys, ft, ct), t in zip(plans, targets):
+            z = np.einsum("xyt,amx,bny,mnc->abct",
+                          self._fun_tensor(term, fx, fy, ft), xs, ys,
+                          term[7][:, :, ct], optimize=_BATCH_PATH)
+            out[np.ix_(ax, ay, np.searchsorted(cols, t))] += term[6] * (
+                z.reshape(len(ax), len(ay), -1))
+        return Stack(out, cols)
 
     def product_apply(self, x, y):
         """Pointwise product of two full vectors, projected to the complex.
@@ -471,32 +548,19 @@ class GComplex:
         """
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
-        if x.ndim == 1:
-            return self.product_batch(x[None], y[None])[0, 0]
-        # (x y)[:, p, r] sums, over the inner index q, the batch of rows
-        # x[:, p, q] times rows y[:, q, r]
-        out = np.zeros(x.shape, dtype=complex)
-        for q in range(x.shape[-1]):
-            z = self.product_batch(x[:, :, q].T, y[:, q, :].T)
-            out += np.moveaxis(z, 2, 0)
-        return out
+        k = 1 if x.ndim == 1 else x.shape[-1]
+        # rows x[:, p, q] times rows y[:, q', r]; the product keeps q = q'
+        Z = self._products(Stack.of(x.reshape(self.dim, -1).T),
+                           Stack.of(y.reshape(self.dim, -1).T))
+        out = np.zeros((self.dim, k, k), dtype=complex)
+        out[Z.cols] = np.einsum("pqqrc->cpr",
+                                Z.vals.reshape(k, k, k, k, len(Z.cols)))
+        return out.reshape(x.shape)
 
     def product_batch(self, X, Y):
-        """Products of all row pairs: (m, dim) x (n, dim) -> (m, n, dim)."""
-        X = np.asarray(X, dtype=complex)
-        Y = np.asarray(Y, dtype=complex)
-        out = np.zeros((X.shape[0], Y.shape[0], self.dim), dtype=complex)
-        for term in self.wiring:
-            bx, qx, by, qy, bt, qt, sgn, mt = term
-            xs = self._rows(X, bx, qx)
-            ys = self._rows(Y, by, qy)
-            if not np.any(xs) or not np.any(ys):
-                continue
-            z = np.einsum("xyt,amx,bny,mnc->abct", self._fun_tensor(term),
-                          xs, ys, mt, optimize=True)
-            seg = out[:, :, self.block_slice(bt, qt)]
-            seg += sgn * z.reshape(z.shape[0], z.shape[1], -1)
-        return out
+        """Products of all row pairs of two `Stack`s: a Stack with values
+        shaped (m, n, k), on the columns the products reach."""
+        return self._products(X, Y)
 
     def left_mult_operator(self, x):
         """Matrix of y -> x * y for a matrix-valued element x of shape
@@ -510,48 +574,19 @@ class GComplex:
         """
         x = np.asarray(x, dtype=complex)
         k = x.shape[-1]
+        # W[c, p, n, q] is the product of the row x[:, p, q] with e_n
+        basis = Stack(np.eye(self.dim, dtype=complex), np.arange(self.dim))
+        Z = self._products(Stack.of(x.reshape(self.dim, -1).T), basis)
         W = np.zeros((self.dim, k, self.dim, k), dtype=complex)
-        for term in self.wiring:
-            bx, qx, by, qy, bt, qt, sgn, mt = term
-            xs = self.piece(x, bx, qx)
-            if not np.any(xs):
-                continue
-            F = self._fun_tensor(term)
-            nx, ny, nt = F.shape
-            mlt = xs.shape[0]
-            # contract the function tensor by matmul, then wire
-            # multiplicities with a small einsum
-            w1 = (xs.transpose(0, 2, 3, 1).reshape(-1, nx)
-                  @ F.reshape(nx, ny * nt))
-            w1 = w1.reshape(mlt, k, k, ny, nt)
-            w = np.einsum("mnc,mpqyt->ctpnyq", mt, w1, optimize=True)
-            st = self.block_slice(bt, qt)
-            sy = self.block_slice(by, qy)
-            W[st, :, sy] += sgn * w.reshape(st.stop - st.start, k,
-                                            sy.stop - sy.start, k)
+        W[Z.cols] = Z.vals.reshape(k, k, self.dim, len(Z.cols)).transpose(
+            3, 0, 2, 1)
         return W
 
     def product_contract(self, X, Y, R):
-        """R-projected pair products: einsum("mi,nj,ri->...") style.
-
-        Returns (m, n, r) with entries R[r] . (X[m] * Y[n]) without ever
-        materializing the full product vectors.
-        """
-        X = np.asarray(X, dtype=complex)
-        Y = np.asarray(Y, dtype=complex)
-        R = np.asarray(R, dtype=complex)
-        out = np.zeros((X.shape[0], Y.shape[0], R.shape[0]), dtype=complex)
-        for term in self.wiring:
-            bx, qx, by, qy, bt, qt, sgn, mt = term
-            xs = self._rows(X, bx, qx)
-            ys = self._rows(Y, by, qy)
-            rs = self._rows(R, bt, qt)
-            if not (np.any(xs) and np.any(ys) and np.any(rs)):
-                continue
-            out += sgn * np.einsum("xyt,amx,bny,mnc,pct->abp",
-                                   self._fun_tensor(term), xs, ys, mt, rs,
-                                   optimize=True)
-        return out
+        """R-projected pair products of three `Stack`s of rows: the
+        (m, n, r) array of R[r] . (X[m] * Y[n]), without materializing the
+        product vectors."""
+        return self._products(X, Y, R)
 
     def pairing_matrix(self):
         """Trace of the product on basis pairs; parity-3 odd pairing.  Each

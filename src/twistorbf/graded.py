@@ -13,6 +13,8 @@ the homotopy transfer machinery build on.
 from __future__ import annotations
 
 import itertools
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,13 +176,39 @@ class Gather:
     def T(self):
         """Transpose, for a gather with at most one nonzero per column."""
         nz = np.nonzero(self.val)[0]
-        if len(np.unique(self.col[nz])) < len(nz):
+        if np.bincount(self.col[nz], minlength=1).max() > 1:
             raise ValueError("two nonzeros share a column: no transpose")
         return Gather(self.shape[0], self.col[nz], nz, self.val[nz])
 
     def dense(self):
         out = np.zeros(self.shape, dtype=self.val.dtype)
         out[np.arange(self.shape[0]), self.col] = self.val
+        return out
+
+
+class Stack(NamedTuple):
+    """Rows of vectors held on a set of their columns: `vals` shaped
+    (..., k) and the k ascending column indices `cols`; every other column
+    is zero.  The products and the homotopy transfer pass stacks around."""
+
+    vals: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def of(cls, X):
+        """A dense stack (..., n) on its columns with a nonzero entry."""
+        X = np.asarray(X)
+        cols = np.flatnonzero(np.any(X.reshape(-1, X.shape[-1]), axis=0))
+        return cls(X[..., cols], cols)
+
+    def flat(self):
+        """The same stack with its rows in one axis."""
+        return Stack(self.vals.reshape(math.prod(self.vals.shape[:-1]),
+                                       len(self.cols)), self.cols)
+
+    def dense(self, n):
+        out = np.zeros(self.vals.shape[:-1] + (n,), dtype=self.vals.dtype)
+        out[..., self.cols] = self.vals
         return out
 
 
@@ -243,9 +271,10 @@ def rank_by_components(A, tol):
 
 def support_max(fn, *ops):
     """Largest |fn(a, b, ...)| over the entries of equal-size gathers,
-    taken where one of them is nonzero (fn(0, 0, ...) must be 0)."""
-    rows, cols = np.unique(np.hstack([
-        [np.nonzero(op.val)[0], op.col[op.val != 0]] for op in ops]), axis=1)
+    taken where one of them is nonzero (fn(0, 0, ...) must be 0); an entry
+    met twice is just taken twice."""
+    rows, cols = np.hstack([
+        [np.nonzero(op.val)[0], op.col[op.val != 0]] for op in ops])
     vals = [np.where(op.col[rows] == cols, op.val[rows], 0) for op in ops]
     return float(np.abs(fn(*vals)).max(initial=0.0))
 

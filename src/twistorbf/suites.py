@@ -44,6 +44,10 @@ from .transfer import (
 
 SUITE_NAMES = ("cohomology", "kernel", "invariance", "htt", "bv", "all")
 
+# the smallest truncation each suite builds: the htt suite builds the
+# extended complex, the bv suite the plain one
+MIN_TRUNCATION = {"htt": 5, "bv": 2}
+
 
 class SuiteConfig:
     """Flat bundle of driver options; None fields take suite defaults."""
@@ -68,6 +72,11 @@ class SuiteConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError("%s must be positive" % name)
+        need = max(MIN_TRUNCATION.get(s, 1) for s in (
+            SUITE_NAMES if self.suite == "all" else (self.suite,)))
+        if self.truncation is not None and self.truncation < need:
+            raise ValueError("the %s suite needs truncation >= %d, not %d"
+                             % (self.suite, need, self.truncation))
         if not 2 <= self.max_arity <= 4:
             raise ValueError("max_arity must be 2, 3 or 4 (the arities "
                              "transfer builds), not %d" % self.max_arity)

@@ -13,8 +13,11 @@ right factor's degree against everything it jumps over; deg(H lam_t) is
 1 - t, so only even t contributes, against the sum of the first s input
 degrees.
 
-H is a `Gather`, applied to the stacked products as a column gather; the
-root p of the plain contraction picks the harmonic coordinates.
+Every stack of the recursion (leaves, lam_2, H lam_2, lam_3, H lam_3 and
+the root rows) is a `graded.Stack`, held on the columns the products let
+it reach, a few of the complex's; the products take and return stacks.  H
+is a `Gather`, so on a stack it is a column remap, and the root p of the
+plain contraction picks the harmonic coordinates.
 
 Brackets are graded antisymmetrizations over argument orderings, summed
 over each tensor's nonzero entries.  Matrix coefficients ride along as
@@ -30,9 +33,9 @@ import numpy as np
 from functools import reduce
 from itertools import combinations, permutations
 
-from .graded import (Gather, chain_identity_residual, exterior_algebra,
-                     koszul_sign_permutation, rank_by_components,
-                     support_max)
+from .graded import (Gather, Stack, chain_identity_residual,
+                     exterior_algebra, koszul_sign_permutation,
+                     rank_by_components, support_max)
 from .gcomplex import GComplex
 from .sphere import LineBundleModel
 
@@ -75,12 +78,17 @@ class DenseAlgebra:
                          optimize=True)
 
     def product_batch(self, X, Y):
-        return np.einsum("ijk,mi,nj->mnk", self.structure, X, Y,
-                         optimize=True)
+        """Products of all row pairs of two `Stack`s, on the columns their
+        slice of the structure tensor reaches."""
+        S = self.structure[np.ix_(X.cols, Y.cols)]
+        cols = np.flatnonzero(np.any(S, axis=(0, 1)))
+        return Stack(np.einsum("ijk,mi,nj->mnk", S[:, :, cols], X.vals,
+                               Y.vals, optimize=True), cols)
 
     def product_contract(self, X, Y, R):
-        return np.einsum("ijk,mi,nj,rk->mnr", self.structure, X, Y, R,
-                         optimize=True)
+        return np.einsum("ijk,mi,nj,rk->mnr",
+                         self.structure[np.ix_(X.cols, Y.cols, R.cols)],
+                         X.vals, Y.vals, R.vals, optimize=True)
 
 
 def heisenberg_dga():
@@ -325,50 +333,68 @@ def transfer(con, max_arity=4, d2=None):
     H = con.H
     degs = con.harm_degrees
     kap1 = np.where(degs % 2, -1.0, 1.0)
+    W1, R = Stack.of(-psi.T), Stack.of(P)     # leaves, root rows
 
-    def hom(X):
-        # H applied to each row of the stack X
-        return X.reshape(-1, dim)[:, H.col] * H.val
+    def at(cols, S):
+        # position of each column in the stack S, -1 where S has none
+        pos = np.full(dim, -1)
+        pos[S.cols] = np.arange(len(S.cols))
+        return pos[cols]
 
-    def root(x):        # the plain root p picks the harmonic coordinates
-        return (x[..., con.harm_index] if d2 is None
-                else np.einsum("...d,pd->...p", x, P))
+    def hom(S):
+        # H on each row of a stack: column H.col[e] moves to e, times H.val
+        src = at(H.col, S)
+        e = np.flatnonzero((src >= 0) & (H.val != 0))
+        return Stack(S.flat().vals[:, src[e]] * H.val[e], e)
 
-    W1 = -psi.T                               # (nh, dim) leaf rows
+    def root(S):
+        # the root rows on the stack's columns; the plain root is the pick
+        # of the harmonic coordinates
+        pos = at(S.cols, R)
+        return S.vals[..., pos >= 0] @ R.vals[:, pos[pos >= 0]].T
+
     ops = {1: m1}
-
-    Lam2 = alg.product_batch(W1, W1)          # (nh, nh, dim)
+    Lam2 = alg.product_batch(W1, W1)          # values (nh, nh, k)
     ops[2] = root(Lam2)
     if max_arity >= 3:
         W2 = hom(Lam2)
         del Lam2
         m3 = np.zeros((nh, nh, nh, nh), dtype=complex)
         m4 = np.zeros((nh,) * 5, dtype=complex) if max_arity >= 4 else None
-        # chunk over the leading input index; lam_3 never fully lives
+        # chunk over the leading input index, bounded by the widest stack;
+        # lam_3 never fully lives
         for lo, hi in _chunks(nh, nh * nh * dim):
             # s=1: +kappa(a) mu(W1, H lam_2);  s=2: -mu(H lam_2, W1)
-            T1 = alg.product_batch(W1[lo:hi], W2).reshape(
-                hi - lo, nh, nh, dim)
-            T1 *= kap1[lo:hi, None, None, None]
+            T1 = alg.product_batch(W1._replace(vals=W1.vals[lo:hi]), W2)
             T2 = alg.product_batch(
-                W2[lo * nh:hi * nh], W1).reshape(hi - lo, nh, nh, dim)
-            block = T1 - T2
+                W2._replace(vals=W2.vals[lo * nh:hi * nh]), W1)
+            reached = np.zeros(dim, dtype=bool)
+            reached[T1.cols] = reached[T2.cols] = True
+            cols = np.flatnonzero(reached)
+            block = np.zeros((hi - lo, nh, nh, len(cols)), dtype=complex)
+            block[..., np.searchsorted(cols, T1.cols)] = (
+                T1.vals.reshape(hi - lo, nh, nh, len(T1.cols))
+                * kap1[lo:hi, None, None, None])
+            block[..., np.searchsorted(cols, T2.cols)] -= T2.vals.reshape(
+                hi - lo, nh, nh, len(T2.cols))
             del T1, T2
+            block = Stack(block, cols)
             m3[lo:hi] = root(block)
             if m4 is not None:
                 W3 = hom(block)
                 # (3,1): +mu(H lam_3, W1), chunk covers the head index
-                m4[lo:hi] += alg.product_contract(W3, W1, P).reshape(
+                m4[lo:hi] += alg.product_contract(W3, W1, R).reshape(
                     hi - lo, nh, nh, nh, nh)
                 # (1,3): +mu(W1, H lam_3), chunk covers the second index
-                m4[:, lo:hi] += alg.product_contract(W1, W3, P).reshape(
+                m4[:, lo:hi] += alg.product_contract(W1, W3, R).reshape(
                     nh, hi - lo, nh, nh, nh)
         ops[3] = m3
         if m4 is not None:
             # (2,2): -(-1)**(r_a + r_b) mu(H lam_2, H lam_2)
             kap2 = np.einsum("a,b->ab", kap1, kap1).reshape(-1)
             m4 -= alg.product_contract(
-                W2 * kap2[:, None], W2, P).reshape((nh,) * 5)
+                W2._replace(vals=W2.vals * kap2[:, None]), W2, R).reshape(
+                    (nh,) * 5)
             ops[4] = m4
     return Transferred(ops, degs, con)
 

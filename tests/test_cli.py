@@ -78,6 +78,18 @@ def test_negative_config_rejected():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("suite,low,need", [
+    ("htt", 4, 5), ("htt", 1, 5), ("all", 4, 5), ("bv", 1, 2)])
+def test_truncation_below_the_suite_is_usage_error(suite, low, need, capsys):
+    # the htt suite builds the extended complex (5 levels at least), the
+    # bv suite the plain one (2)
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", suite, "--truncation", str(low)])
+    assert exc.value.code == 2
+    assert "needs truncation >= %d" % need in capsys.readouterr().err
+    SuiteConfig(suite=suite, truncation=need).validate()
+
+
 def test_reports_identical_across_runs(capsys):
     _, rep1 = run_cli(capsys, "--suite", "cohomology", "--n-range=-3..3")
     _, rep2 = run_cli(capsys, "--suite", "cohomology", "--n-range=-3..3")

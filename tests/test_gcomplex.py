@@ -8,7 +8,7 @@ import pytest
 from twistorbf import gcomplex
 from twistorbf.gcomplex import (_RESOLUTION, GComplex, _radial_sum,
                                 trace_weights)
-from twistorbf.graded import BiDegree, rank_by_components
+from twistorbf.graded import BiDegree, Stack, rank_by_components
 from twistorbf.radial import SphereGrid
 from twistorbf.sphere import LineBundleModel, build_model
 from twistorbf.suites import (SuiteConfig, _block_product, _blocks_max,
@@ -305,11 +305,76 @@ def test_batch_and_contract_match_product_apply(g):
     X = np.stack([low_level(g, rng, 1) for _ in range(3)])
     Y = np.stack([low_level(g, rng, 1) for _ in range(2)])
     R = np.stack([g.random_vector(rng) for _ in range(4)])
-    batch = g.product_batch(X, Y)
+    batch = g.product_batch(Stack.of(X), Stack.of(Y))
+    assert batch.vals.shape == (3, 2, len(batch.cols)) < (3, 2, g.dim)
     want = np.array([[g.product_apply(x, y) for y in Y] for x in X])
-    assert _rel(batch, want) < 1e-12
-    assert _rel(g.product_contract(X, Y, R),
-                np.einsum("abi,ri->abr", batch, R)) < 1e-12
+    assert _rel(batch.dense(g.dim), want) < 1e-12
+    assert _rel(g.product_contract(Stack.of(X), Stack.of(Y), Stack.of(R)),
+                np.einsum("abi,ri->abr", want, R)) < 1e-12
+
+
+def dense_products(g, X, Y, tensors):
+    """Products of all row pairs of two dense stacks, (m, n, dim), by the
+    whole function tensor of every wiring term (kept in `tensors`)."""
+    out = np.zeros((len(X), len(Y), g.dim), dtype=complex)
+    for i, term in enumerate(g.wiring):
+        bx, qx, by, qy, bt, qt, sgn, mt = term
+        if i not in tensors:
+            tensors[i] = g._fun_tensor(term)
+        xs = X[:, g.block_slice(bx, qx)].reshape(len(X), mt.shape[0], -1)
+        ys = Y[:, g.block_slice(by, qy)].reshape(len(Y), mt.shape[1], -1)
+        z = np.einsum("xyt,amx,bny,mnc->abct", tensors[i], xs, ys, mt,
+                      optimize=True)
+        out[:, :, g.block_slice(bt, qt)] += sgn * z.reshape(len(X), len(Y),
+                                                            -1)
+    return out
+
+
+def sparse_stack(g, rng, rows, kind):
+    """Random rows with zero rows among them, on one of three supports:
+    the lowest levels, the top level only, or a few random block pieces
+    (so that some wiring terms meet an empty piece)."""
+    X = np.stack([g.random_vector(rng) for _ in range(rows)])
+    X[rng.random(rows) < 0.3] = 0.0
+    if kind == "low":
+        return X * (low_level(g, rng, 1) != 0)
+    keep = np.zeros(g.dim, dtype=bool)
+    for bi, b in enumerate(g.blocks):
+        for q, lv in ((0, b.model.level0), (1, b.model.src_level1)):
+            if kind == "top":
+                on = np.tile(lv == b.levels - 1, b.mult)
+            else:
+                on = np.full(len(lv) * b.mult, rng.random() < 0.4)
+            keep[g.block_slice(bi, q)] = on
+    return X * keep
+
+
+@pytest.mark.parametrize("trunc,ext", [(4, False), (5, True), (8, True)],
+                         ids=["plain4", "extended5", "extended8"])
+def test_product_core_matches_whole_function_tensors(trunc, ext):
+    g, tensors = GComplex(trunc, extended=ext), {}
+    rng = np.random.default_rng(trunc)
+    for kx, ky in [("low", "top"), ("top", "top"), ("pieces", "low"),
+                   ("pieces", "pieces")]:
+        X, Y = sparse_stack(g, rng, 5, kx), sparse_stack(g, rng, 4, ky)
+        R = np.stack([g.random_vector(rng) for _ in range(3)])
+        want = dense_products(g, X, Y, tensors)
+        got = g.product_batch(Stack.of(X), Stack.of(Y))
+        # the columns the weight rule lets the products reach hold every
+        # nonzero entry
+        assert not want[..., np.setdiff1d(np.arange(g.dim), got.cols)].any()
+        assert _rel(got.dense(g.dim), want) < 1e-13
+        assert _rel(g.product_contract(Stack.of(X), Stack.of(Y),
+                                       Stack.of(R)),
+                    np.einsum("abi,ri->abr", want, R)) < 1e-13
+    # matrix-valued factors multiply their coefficients in order
+    x, y = (g.random_vector(rng, max_level=2, matrix_rank=2)
+            for _ in range(2))
+    want = sum(np.moveaxis(dense_products(g, x[:, :, q].T, y[:, q, :].T,
+                                          tensors), 2, 0) for q in range(2))
+    assert _rel(g.product_apply(x, y), want) < 1e-13
+    W = g.left_mult_operator(x).reshape(2 * g.dim, 2 * g.dim)
+    assert _rel((W @ y.reshape(2 * g.dim, 2)).reshape(y.shape), want) < 1e-13
 
 
 @pytest.mark.parametrize("g", [G, GE], ids=["plain", "extended"])

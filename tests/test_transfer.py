@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twistorbf.gcomplex import GComplex
-from twistorbf.graded import Gather, koszul_sign_permutation
+from twistorbf.graded import Gather, Stack, koszul_sign_permutation
 from twistorbf.sphere import build_model
 from twistorbf.transfer import (
     Contraction, DenseAlgebra, Transferred, build_contraction,
@@ -353,39 +353,110 @@ def test_bracket_matches_einsum(arity, kinds):
 
 
 def _dense_transfer(con):
-    """m_1 .. m_4 with the dense H and P contracted by plain einsums, the
-    path the gathers replaced (one chunk, no second differential)."""
+    """m_1 .. m_4 with the dense H and P applied by matrix products, the
+    path the gathers and the column remaps replaced (one chunk, no second
+    differential).  Every stack is dense between the products, which take
+    it on its nonzero columns."""
     alg, nh, dim = con.algebra, con.nharm, con.dim
     H = con.H.dense().astype(complex)
     P = con.p_mat.astype(complex)
     psi = con.i_mat.astype(complex)
     kap1 = np.where(con.harm_degrees % 2, -1.0, 1.0)
+
+    def batch(X, Y):
+        return alg.product_batch(Stack.of(X), Stack.of(Y)).dense(dim)
+
+    def contract(X, Y):
+        return alg.product_contract(Stack.of(X), Stack.of(Y), Stack.of(P))
+
     W1 = -psi.T
-    Lam2 = alg.product_batch(W1, W1)
-    m = {1: P @ con.d.dense().astype(complex) @ psi,
-         2: np.einsum("abd,pd->abp", Lam2, P)}
-    W2 = np.einsum("abd,ed->abe", Lam2, H).reshape(nh * nh, dim)
-    T1 = alg.product_batch(W1, W2).reshape(nh, nh, nh, dim)
+    Lam2 = batch(W1, W1)
+    m = {1: P @ con.d.dense().astype(complex) @ psi, 2: Lam2 @ P.T}
+    W2 = (Lam2 @ H.T).reshape(nh * nh, dim)
+    T1 = batch(W1, W2).reshape(nh, nh, nh, dim)
     T1 *= kap1[:, None, None, None]
-    block = T1 - alg.product_batch(W2, W1).reshape(nh, nh, nh, dim)
-    m[3] = np.einsum("abcd,pd->abcp", block, P)
-    W3 = np.einsum("abcd,ed->abce", block, H).reshape(nh ** 3, dim)
-    m4 = alg.product_contract(W3, W1, P).reshape((nh,) * 5)
-    m4 += alg.product_contract(W1, W3, P).reshape((nh,) * 5)
+    block = T1 - batch(W2, W1).reshape(nh, nh, nh, dim)
+    m[3] = block @ P.T
+    W3 = (block @ H.T).reshape(nh ** 3, dim)
+    m4 = contract(W3, W1).reshape((nh,) * 5)
+    m4 += contract(W1, W3).reshape((nh,) * 5)
     kap2 = np.einsum("a,b->ab", kap1, kap1).reshape(-1)
-    m4 -= alg.product_contract(W2 * kap2[:, None], W2, P).reshape((nh,) * 5)
+    m4 -= contract(W2 * kap2[:, None], W2).reshape((nh,) * 5)
     m[4] = m4
     return m
 
 
-@pytest.mark.parametrize("which", ["sheaf4", "toy"])
-def test_transfer_matches_dense_einsum_path(which):
+def spin_cutoff_contraction(g, two_j):
+    """Contraction of g onto every basis vector of spin j <= two_j / 2.
+
+    For twist n a level-p section and its image form have 2j = |n| + 2p,
+    a harmonic form 2j = |n| - 2.  P is the 0/1 diagonal on the kept
+    vectors and H the model homotopy with the kept rows zeroed; d-bar
+    keeps the spin, so the chain identity holds exactly, and the pairing
+    pairs equal spins, so isotropy and self-adjointness hold as well.
+    """
+    spin = np.zeros(g.dim, dtype=int)
+    for bi, b in enumerate(g.blocks):
+        n, m = abs(b.twist), b.model
+        spin[g.block_slice(bi, 0)] = np.tile(n + 2 * m.level0, b.mult)
+        spin[g.block_slice(bi, 1)] = np.tile(np.where(
+            m.src_level1 >= 0, n + 2 * m.src_level1, n - 2), b.mult)
+    keep = np.flatnonzero(spin <= two_j)
+    H = Gather(g.dim, slice(None), g.hom.col, g.hom.val)
+    H.val[keep] = 0.0
+    return Contraction(g, g.dbar, H, Gather(g.dim, keep, keep, 1.0),
+                       g.space.reduced_degrees(),
+                       pairing=g.pairing_matrix().matrix, label="spin cutoff")
+
+
+@pytest.fixture(scope="module")
+def cutoff():
+    # at 2j <= 2 on GComplex(4): 28 kept vectors, m3 and m4 nonzero (at
+    # 2j <= 4 the top spins' products leave the truncation and the
+    # arity-3 relation fails, so that cutoff is not used)
+    con = spin_cutoff_contraction(GComplex(4), 2)
+    return con, transfer(con, max_arity=4)
+
+
+def test_spin_cutoff_brackets_match_the_oracle(cutoff):
+    con, tb = cutoff
+    assert con.nharm == 28
+    assert np.count_nonzero(tb.m[3]) > 2000
+    assert np.count_nonzero(tb.m[4]) > 15000
+    rng = np.random.default_rng(17)
+    for n in (3, 4):
+        support = np.transpose(np.nonzero(tb.m[n]))[:, :n]
+        picks = [support[rng.integers(len(support))] for _ in range(10)]
+        picks += [rng.integers(con.nharm, size=n) for _ in range(10)]
+        for idx in picks:
+            vecs = [con.i_mat[:, t].astype(complex) for t in idx]
+            dd = [int(con.harm_degrees[t]) for t in idx]
+            ref = con.p_mat @ lambda_oracle(con.algebra, con.H, vecs, dd)
+            assert np.abs(ref - tb.m[n][tuple(idx)]).max() < 1e-13, idx
+
+
+def test_spin_cutoff_relations(cutoff):
+    _, tb = cutoff
+    # degree-1 probes with 2 x 2 coefficients: the brackets of scalar
+    # probes cancel to roundoff, and other degrees mostly vanish
+    rng = np.random.default_rng(19)
+    lr = check_linfty_relations(tb, rng, max_arity=4, samples=2, rank=2,
+                                degrees=(1,))
+    assert lr[3] < 1e-12 and lr[4] < 1e-12, lr
+
+
+@pytest.mark.parametrize("which", ["sheaf4", "toy", "cutoff"])
+def test_transfer_matches_dense_einsum_path(which, cutoff):
     if which == "toy":
         alg, d, H, proj, degs = heisenberg_dga()
         con = Contraction(alg, d, H, proj, degs)
+        got = transfer(con, max_arity=4).m
+    elif which == "cutoff":
+        con, tb = cutoff
+        got = tb.m
     else:
         con = build_contraction(GComplex(4))
-    got = transfer(con, max_arity=4).m
+        got = transfer(con, max_arity=4).m
     want = _dense_transfer(con)
     for n in range(1, 5):
         assert np.array_equal(got[n], want[n]), n
