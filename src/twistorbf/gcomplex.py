@@ -489,9 +489,9 @@ class GComplex:
         """
         X, Y, R = (S if S is None else S.flat() for S in (X, Y, R))
         # each stack on each block piece, read once
-        on_x, on_y, on_r = (S and {key: self._on_piece(S, *key)
-                                   for key in self.offsets}
-                            for S in (X, Y, R))
+        on_x, on_y, on_r = (None if S is None else {
+            key: self._on_piece(S, *key) for key in self.offsets}
+            for S in (X, Y, R))
         plans = []
         for term in self.wiring:
             bx, qx, by, qy, bt, qt, sgn, mt = term
