@@ -32,5 +32,5 @@ print("sections of O(3):            ", dual.dim(0) and dual.serre_dims()[0])
 coeffs = np.zeros(m.dim(1), dtype=complex)
 coeffs[0] = 1.0
 print("H applied to a harmonic form:",
-      float(np.abs(m.homotopy_total.matrix[: m.dim(0),
-                                           m.dim(0):] @ coeffs).max()))
+      float(np.abs(m.hom @ np.concatenate([np.zeros(m.dim(0)), coeffs]))
+            .max()))

@@ -56,8 +56,6 @@ interleaving and Koszul signs above, zero where the masks overlap.
 and merges masks with the same table.
 """
 
-import functools
-
 import numpy as np
 
 from .gcomplex import GComplex, trace_weights
@@ -131,13 +129,6 @@ def product_rule(bounds, wiring, trace_piece):
     if any(d % 2 for d in doubled):
         raise AssertionError("half-integer D power in a trace integrand")
     return max(doubled) // 4 + 1, max(-lo, hi) + 1
-
-
-@functools.lru_cache(maxsize=None)
-def _sized_grid(n_radial, n_theta):
-    # one grid object per rule, so that every BFData of a complex hits the
-    # models' value caches, which are keyed on the grid
-    return SphereGrid(n_radial, n_theta)
 
 
 def _popcount(mask):
@@ -260,7 +251,7 @@ class BFData(object):
                                    b.model.normalized_extra(q))
              for bi, b in enumerate(source.blocks) for q in (0, 1)},
             source.wiring, (source.trace_block, 1))
-        self.grid = _sized_grid(*self.rule)
+        self.grid = SphereGrid(*self.rule)
         self._build_grid_tables()
 
     def _build_grid_tables(self):

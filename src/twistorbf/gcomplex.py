@@ -59,9 +59,9 @@ of the whole block.  The dense n x n forms
 (`dbar_full`, `hom_full`, `proj_full`, `d_iota_signed`, `eps_matrix`) are
 assembled on first access and then cached; the suites read none of them.
 
-All caches are per-instance, the line bundle models and their radial
-profiles included (an extended complex shares them with its quotient),
-and filled lazily; instances are immutable after construction.
+All caches are per-instance and filled lazily: the line bundle models,
+which cache nothing, and their radial profiles (an extended complex
+shares both with its quotient); instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ class GComplex:
             raise ValueError("the extended complex needs truncation >= 5")
         # line bundle models by (twist, levels) and their radial profiles;
         # the extended complex shares them and the radial rule with its
-        # quotient, so the models' value caches serve both
+        # quotient, so each profile is evaluated once for both
         if extended:
             self.quotient = GComplex(truncation, extended=False,
                                      n_radial=n_radial)

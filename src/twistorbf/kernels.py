@@ -176,8 +176,8 @@ class KernelHomotopy:
 
     Integrates the closed-form kernel against (0,1)-form densities given by
     spectral coefficients of `model`, and projects the result back onto the
-    section basis, yielding a (dim0 x dim1) matrix comparable with
-    model.hom_mat.
+    section basis, yielding a (dim0 x dim1) matrix comparable with the
+    sections x forms block of model.hom.
 
     Both blocks are evaluated at q = n_theta // gcd(n_theta, period) targets
     per target ring and rotated to the rest (module docstring); at the
@@ -198,14 +198,20 @@ class KernelHomotopy:
     # -- output values of H(basis forms) at the target points --------------
 
     def _far_block(self, zt):
-        """Far contribution for a chunk of targets: (len(zt), dim1)."""
+        """Far contribution for targets zt: (len(zt), dim1).  The far
+        basis is evaluated once; chunks of 256 targets bound the kernel
+        array."""
         m = self.model
         v1, _ = m.grid_data(self.far, 1)
-        k = kernel_weighted(m.n, self.far.z[None, :], zt[:, None])
-        d = chordal(self.far.z[None, :], zt[:, None])
-        cut = 1.0 - bump(d, self.d_flat, self.d_cut)
-        k = np.where(d < 1e-14, 0.0, k) * cut
-        return k @ (self.far.w[:, None] * v1.T)
+        wv1 = self.far.w[:, None] * v1.T
+        out = np.empty((len(zt), m.dim1), dtype=complex)
+        for i0 in range(0, len(zt), 256):
+            z = zt[i0:i0 + 256, None]
+            k = kernel_weighted(m.n, self.far.z[None, :], z)
+            d = chordal(self.far.z[None, :], z)
+            cut = 1.0 - bump(d, self.d_flat, self.d_cut)
+            out[i0:i0 + 256] = (np.where(d < 1e-14, 0.0, k) * cut) @ wv1
+        return out
 
     def _near_block(self, zt):
         """Near contribution on rotated polar grids: (len(zt), dim1)."""
@@ -235,14 +241,10 @@ class KernelHomotopy:
 
     def _on_rings(self, block, period):
         """block at every target, from the first q targets of each ring;
-        period is the angle count of the grid block integrates over.  The
-        chunks of 256 targets bound the far block's kernel array."""
+        period is the angle count of the grid block integrates over."""
         t = self.targets
         q = t.n_theta // math.gcd(t.n_theta, period)
-        zt = t.z.reshape(t.n_radial, t.n_theta)[:, :q].ravel()
-        chunk = 256
-        base = np.concatenate([block(zt[i0:i0 + chunk])
-                               for i0 in range(0, len(zt), chunk)])
+        base = block(t.z.reshape(t.n_radial, t.n_theta)[:, :q].ravel())
         w = np.array([f.weight for f in self.model.funs1])
         alpha = 2.0 * math.pi * q * np.arange(t.n_theta // q) / t.n_theta
         phase = np.exp(1j * alpha[:, None] * (w - 1)[None, :])
@@ -283,7 +285,7 @@ def operator_agreement(model, hquad, n_levels=5):
     +1 means the printed orientation conventions match)."""
     mask = spectral_levels_mask(model, 1, n_levels)
     hq = hquad.matrix()[:, mask]
-    hs = model.hom_mat[:, mask]
+    hs = model.hom.dense()[:model.dim0, model.dim0:][:, mask]
     denom = np.linalg.norm(hs, 2)
     if denom == 0:
         return 0.0, 1.0
@@ -295,15 +297,17 @@ def chain_identity_quadrature(model, hquad, rng, samples=50):
     """Worst relative residual of {dbar, H} = 1 - P with the quadrature H,
     over random coefficient vectors in both form degrees."""
     hq = hquad.matrix()
+    d0, zero0, zero1 = model.dim0, np.zeros(model.dim0), np.zeros(model.dim1)
     worst = 0.0
     for _ in range(samples):
         s = rng.standard_normal(model.dim0) + 1j * rng.standard_normal(model.dim0)
-        lhs = hq @ (model.dbar_mat @ s)
-        rhs = s - model.proj0_mat @ s
+        x = np.concatenate([s, zero1])
+        lhs = hq @ (model.dbar @ x)[d0:]
+        rhs = s - (model.proj @ x)[:d0]
         worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(s))
         a = rng.standard_normal(model.dim1) + 1j * rng.standard_normal(model.dim1)
-        lhs1 = model.dbar_mat @ (hq @ a)
-        rhs1 = a - model.proj1_mat @ a
+        lhs1 = (model.dbar @ np.concatenate([hq @ a, zero1]))[d0:]
+        rhs1 = a - (model.proj @ np.concatenate([zero0, a]))[d0:]
         worst = max(worst, np.linalg.norm(lhs1 - rhs1) / np.linalg.norm(a))
     return float(worst)
 

@@ -10,8 +10,9 @@ d-bar spectrum lambda_p^2 = 2 [j(j+1) - (n/2)(n/2+1)] are taken in closed
 form rather than measured.  d-bar sends each section to its image form
 times the level constant lambda_p, which makes the Green operator, the
 harmonic projector and the standard homotopy H = dbar* G explicit; the three
-are `graded.Gather`s, the dense blocks derive from them, and the chain
-identity {dbar, H} = 1 - P holds to machine precision by construction.
+are held once, as `graded.Gather`s on the total space (sections, then
+forms), and the chain identity {dbar, H} = 1 - P holds to machine precision
+by construction.
 
 Conventions fixed here and used everywhere else:
   * chart metric weight D = 1 + |z|^2, fiber metric D^-n,
@@ -131,7 +132,6 @@ class LineBundleModel:
         self.levels = int(levels)
         self._build_bases()
         self._build_operators()
-        self._grid_cache = {}
 
     # -- construction -----------------------------------------------------
 
@@ -199,16 +199,11 @@ class LineBundleModel:
         harm = np.concatenate([np.nonzero(self.lam0 == 0.0)[0],
                                dim0 + np.arange(self.n_harm1)])
         self.proj = Gather(dim, harm, harm, 1.0)
-        dt, ht, pt = self.dbar.dense(), self.hom.dense(), self.proj.dense()
-        self.dbar_mat, self.hom_mat = dt[dim0:, :dim0], ht[:dim0, dim0:]
-        self.proj0_mat, self.proj1_mat = pt[:dim0, :dim0], pt[dim0:, dim0:]
 
         self.total_space = BigradedSpace(
             np.repeat([(0, 0), (1, 0)], [dim0, self.dim1], axis=0))
-
-        self.dbar_total = GradedMap(self.total_space, self.total_space, (1, 0), dt)
-        self.homotopy_total = GradedMap(self.total_space, self.total_space, (-1, 0), ht)
-        self.projector_total = GradedMap(self.total_space, self.total_space, (0, 0), pt)
+        self.dbar_total = GradedMap(self.total_space, self.total_space, (1, 0),
+                                    self.dbar.dense())
 
     # -- spectral operators -----------------------------------------------
 
@@ -241,16 +236,13 @@ class LineBundleModel:
         return np.tensordot(np.asarray(coeffs), self.basis_values(z, degree, normalized), axes=(0, 0))
 
     def grid_data(self, grid, degree):
-        """Cached (basis values, projection weights) on a SphereGrid or a
-        RadialGrid."""
-        # keyed on the grid object, not id(): holding the reference keeps
-        # a dead grid's id from being recycled into a stale cache hit
-        key = (grid, degree)
-        if key not in self._grid_cache:
-            v = self.basis_values(grid.z, degree)
-            wfac = grid.w / grid.D ** 2 * (2.0 if degree == 1 else 1.0)
-            self._grid_cache[key] = (v, wfac)
-        return self._grid_cache[key]
+        """(basis values, projection weights) on a SphereGrid or a
+        RadialGrid, evaluated anew on each call."""
+        return (self.basis_values(grid.z, degree),
+                self.grid_weights(grid, degree))
+
+    def grid_weights(self, grid, degree):
+        return grid.w / grid.D ** 2 * (2.0 if degree == 1 else 1.0)
 
     def grid_project(self, values, grid, degree):
         """Coefficients of normalized chart values given on grid points."""
@@ -258,7 +250,7 @@ class LineBundleModel:
         return v.conj() @ (wfac * values)
 
     def grid_inner(self, va, vb, grid, degree):
-        _, wfac = self.grid_data(grid, degree)
+        wfac = self.grid_weights(grid, degree)
         return np.sum(wfac * va * np.conj(vb))
 
     # -- group action ------------------------------------------------------

@@ -67,6 +67,27 @@ def test_bad_n_range_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("suite", ["cohomology", "kernel", "all"])
+@pytest.mark.parametrize("n_range,twist", [("-18..-18", -18),
+                                           ("-23..4", -23), ("0..100", 98)])
+def test_n_range_past_the_basis_guard_is_usage_error(suite, n_range, twist,
+                                                     capsys):
+    # the suites died on the level 0-3 normalization guard with exit 1 and
+    # no report; the usage error carries that guard's message
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", suite, "--n-range=" + n_range])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("n-range %s: twist %d level 3: |dbar f / lambda|^2 - 1 = "
+            % (n_range, twist)) in err
+
+
+def test_n_range_guard_spares_what_builds():
+    SuiteConfig(suite="cohomology", n_range=(-17, 97)).validate()
+    # the invariance suite builds no model at any twist
+    SuiteConfig(suite="invariance", n_range=(-30, -18)).validate()
+
+
 def test_negative_config_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["--suite", "cohomology", "--truncation", "-3"])

@@ -408,13 +408,15 @@ def _kron_oracle(g):
     blocks, the construction the gathers replaced."""
     ops, harm = ({}, {}, {}), []
     for bi, b in enumerate(g.blocks):
-        eye, m = np.eye(b.mult), b.model
+        eye, m, d0 = np.eye(b.mult), b.model, b.model.dim0
+        dt, ht, pt = m.dbar.dense(), m.hom.dense(), m.proj.dense()
+        proj0, proj1 = pt[:d0, :d0], pt[d0:, d0:]
         p0, p1 = (bi, 0), (bi, 1)
-        ops[0][(p1, p0)] = np.kron(eye, m.dbar_mat)
-        ops[1][(p0, p1)] = np.kron(eye, m.hom_mat)
-        ops[2][(p0, p0)] = np.kron(eye, m.proj0_mat)
-        ops[2][(p1, p1)] = np.kron(eye, m.proj1_mat)
-        for q, pm in ((0, m.proj0_mat), (1, m.proj1_mat)):
+        ops[0][(p1, p0)] = np.kron(eye, dt[d0:, :d0])
+        ops[1][(p0, p1)] = np.kron(eye, ht[:d0, d0:])
+        ops[2][(p0, p0)] = np.kron(eye, proj0)
+        ops[2][(p1, p1)] = np.kron(eye, proj1)
+        for q, pm in ((0, proj0), (1, proj1)):
             diag = np.tile(np.diag(pm), b.mult)
             harm.append(g.offsets[(bi, q)] + np.nonzero(diag > 0.5)[0])
     return [g._dense(o) for o in ops] + [np.concatenate(harm).astype(int)]
@@ -692,6 +694,27 @@ def test_side_conditions_stay_small_at_truncation_12():
     peak = [ln.split()[1] for ln in out.stdout.splitlines()
             if ln.startswith("VmHWM:")]
     assert int(peak[0]) < 1024 ** 2     # kB: 1 GB
+
+
+def test_exactness_ladder_stays_small():
+    # the sheaf ladder 5, 11, 12, one complex at a time; each model held
+    # its dbar, H and P three times over (gather, dense blocks, dense
+    # graded map) and kept its basis values on every grid it saw, which
+    # took this child to 119 MB.  VmHWM and one BLAS thread as above
+    code = ("from twistorbf.gcomplex import GComplex\n"
+            "for L in (5, 11, 12):\n"
+            "    GComplex(L, extended=True).exactness_report()\n"
+            "print(open('/proc/self/status').read())\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    peak = [ln.split()[1] for ln in out.stdout.splitlines()
+            if ln.startswith("VmHWM:")]
+    assert int(peak[0]) < 100 * 1024    # kB: 100 MB
 
 
 # -- ranks by components and the real resolution maps ------------------------

@@ -19,6 +19,7 @@ from twistorbf.kernels import (
     operator_agreement,
     reduction_residual,
     separated_pairs,
+    spectral_levels_mask,
 )
 from twistorbf.sphere import build_model
 
@@ -190,6 +191,45 @@ def test_quadrature_chain_identity():
     for n in (-4, 0):
         m, hq = _hq(n)
         assert chain_identity_quadrature(m, hq, rng, samples=10) < 5e-5
+
+
+def _dense_block_checks(model, hquad, rng, n_levels=5, samples=10):
+    """oracle: operator_agreement and chain_identity_quadrature as they were
+    written on the model's dense dbar, H and P blocks, here sliced out of
+    the dense gathers"""
+    d0 = model.dim0
+    dt, ht, pt = model.dbar.dense(), model.hom.dense(), model.proj.dense()
+    dbar, hom, proj0, proj1 = (dt[d0:, :d0], ht[:d0, d0:], pt[:d0, :d0],
+                               pt[d0:, d0:])
+    mask = spectral_levels_mask(model, 1, n_levels)
+    hq = hquad.matrix()[:, mask]
+    hs = hom[:, mask]
+    sign = 1.0 if np.vdot(hq, hs).real >= 0 else -1.0
+    agreement = (float(np.linalg.norm(hq - sign * hs, 2)
+                       / np.linalg.norm(hs, 2)), sign)
+    hq = hquad.matrix()
+    worst = 0.0
+    for _ in range(samples):
+        s = rng.standard_normal(d0) + 1j * rng.standard_normal(d0)
+        lhs = hq @ (dbar @ s)
+        rhs = s - proj0 @ s
+        worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(s))
+        a = rng.standard_normal(model.dim1) + 1j * rng.standard_normal(
+            model.dim1)
+        lhs1 = dbar @ (hq @ a)
+        rhs1 = a - proj1 @ a
+        worst = max(worst, np.linalg.norm(lhs1 - rhs1) / np.linalg.norm(a))
+    return agreement, float(worst)
+
+
+@pytest.mark.parametrize("n", (-4, 0, 2))
+def test_kernel_checks_match_dense_blocks_bitwise(n):
+    m, hq = _hq(n)
+    want_agreement, want_chain = _dense_block_checks(
+        m, hq, np.random.default_rng(17))
+    assert operator_agreement(m, hq, 5) == want_agreement
+    assert chain_identity_quadrature(m, hq, np.random.default_rng(17),
+                                     samples=10) == want_chain
 
 
 def test_quadrature_zero_in_zero_out():

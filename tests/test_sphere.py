@@ -18,6 +18,14 @@ from twistorbf.sphere import (
 GRID = SphereGrid(n_radial=48, n_theta=96)
 
 
+def _blocks(m):
+    """dbar (forms x sections), H (sections x forms), P on sections and P
+    on forms: slices of the model's gathers on its total space."""
+    d0 = m.dim0
+    d, h, p = m.dbar.dense(), m.hom.dense(), m.proj.dense()
+    return d[d0:, :d0], h[:d0, d0:], p[:d0, :d0], p[d0:, d0:]
+
+
 def test_level_dimensions():
     # level p of twist n carries spin |n|/2 + p: dimension |n| + 2p + 1
     for n in (-3, 0, 2):
@@ -162,7 +170,7 @@ def test_dbar_matches_finite_differences():
         fy = (m.values(c, zs + 1j * h, 0, normalized=False)
               - m.values(c, zs - 1j * h, 0, normalized=False)) / (2 * h)
         want = 0.5 * (fx + 1j * fy)
-        got = m.values(m.dbar_mat @ c, zs, 1, normalized=False)
+        got = m.values(_blocks(m)[0] @ c, zs, 1, normalized=False)
         assert np.abs(want - got).max() < 1e-6 * max(1.0, np.abs(want).max())
 
 
@@ -283,22 +291,18 @@ def test_operators_match_level_weight_pairing():
                 h[i0, pos[(p, w)]] = 1.0 / m.lam0[i0]
         harm = np.zeros(m.dim1)
         harm[:m.n_harm1] = 1.0
-        for got, want in ((m.dbar_mat, d), (m.hom_mat, h),
-                          (m.proj0_mat, np.diag((m.lam0 == 0.0) * 1.0)),
-                          (m.proj1_mat, np.diag(harm))):
+        wants = (d, h, np.diag((m.lam0 == 0.0) * 1.0), np.diag(harm))
+        for got, want in zip(_blocks(m), wants):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-        for gather, total in ((m.dbar, m.dbar_total),
-                              (m.hom, m.homotopy_total),
-                              (m.proj, m.projector_total)):
-            assert np.array_equal(gather.dense(), total.matrix)
+        assert np.array_equal(m.dbar.dense(), m.dbar_total.matrix)
 
 
 def test_projector_annihilated_by_laplacian():
     for n in (-3, 1):
         m = build_model(n, levels=4)
-        d = m.dbar_mat
-        for lap, p in ((d.T @ d, m.proj0_mat), (d @ d.T, m.proj1_mat)):
+        d, _, p0, p1 = _blocks(m)
+        for lap, p in ((d.T @ d, p0), (d @ d.T, p1)):
             assert np.abs(lap @ p).max() < 1e-12
 
 
@@ -325,16 +329,15 @@ def test_hodge_decomposition():
     rng = np.random.default_rng(23)
     for n in (-4, 0, 3):
         m = build_model(n, levels=5)
-        dbar = m.dbar_mat
-        h = m.hom_mat
+        dbar, h, p0, p1 = _blocks(m)
         for _ in range(5):
             f = rng.standard_normal(m.dim0) + 1j * rng.standard_normal(m.dim0)
-            resid = f - m.proj0_mat @ f - h @ (dbar @ f)
+            resid = f - p0 @ f - h @ (dbar @ f)
             assert np.abs(resid).max() < 1e-9
             if m.dim1 == 0:
                 continue
             a = rng.standard_normal(m.dim1) + 1j * rng.standard_normal(m.dim1)
-            resid = a - m.proj1_mat @ a - dbar @ (h @ a)
+            resid = a - p1 @ a - dbar @ (h @ a)
             assert np.abs(resid).max() < 1e-9
 
 
@@ -353,15 +356,16 @@ def test_rotation_matrix_block_diagonal_per_level():
         lv1 = m.src_level1
         off1 = u1[lv1[:, None] != lv1[None, :]]
         assert np.abs(off1).max() < 1e-10
-        lap = m.dbar_mat.T @ m.dbar_mat
+        d = _blocks(m)[0]
+        lap = d.T @ d
         comm = lap @ u0 - u0 @ lap
         assert np.abs(comm).max() < 1e-9
 
 
 def test_grid_cache_survives_grid_turnover():
-    # the cache is keyed on the grid object itself; keying on id() let a
-    # freed grid's address alias a fresh grid of a different size, which
-    # handed back stale basis values
+    # grid_data evaluates on each call and keeps nothing; an earlier cache
+    # keyed on id() let a freed grid's address alias a fresh grid of a
+    # different size, which handed back stale basis values
     m = build_model(0, levels=6)
     for order in (8, 12, 16, 12):
         g = SphereGrid(order, 2 * order)
