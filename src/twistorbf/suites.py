@@ -345,7 +345,8 @@ def htt_transfer(cfg):
     checks.append(_check("transfer-cohomology-iso", "quasi-isomorphism",
                          0 if qi["isomorphism"] else 1, 0.0, exact=True,
                          induced_rank=qi["induced_rank"]))
-    cy = check_cyclic(tb, harmonic_pairing(con), rng, arities=(2, 3, 4),
+    cy = check_cyclic(tb, harmonic_pairing(con), rng,
+                      arities=range(2, cfg.max_arity + 1),
                       samples=5, rank=cfg.rank)
     checks.append(_check("transfer-cyclic-compatibility",
                          "cyclic-pairing-compatibility",

@@ -13,11 +13,14 @@ right factor's degree against everything it jumps over; deg(H lam_t) is
 1 - t, so only even t contributes, against the sum of the first s input
 degrees.
 
-Every stack of the recursion (leaves, lam_2, H lam_2, lam_3, H lam_3 and
-the root rows) is a `graded.Stack`, held on the columns the products let
-it reach, a few of the complex's; the products take and return stacks.  H
-is a `Gather`, so on a stack it is a column remap, and the root p of the
-plain contraction picks the harmonic coordinates.
+One loop over n builds every arity.  The leaves, the root rows and each
+lam_n below the top arity are `graded.Stack`s, held on the columns the
+products let them reach, a few of the complex's; the products take and
+return stacks.  H is a `Gather`, so on a stack it is a column remap, and
+the root p of the plain contraction picks the harmonic coordinates.  The
+top arity is contracted against the root rows, so its stack never exists.
+The splits are summed in the order s = 1, n - 1, 2 .. n - 2, the order of
+the dense reference in the tests, so that both round alike.
 
 Brackets are graded antisymmetrizations over argument orderings, summed
 over each tensor's nonzero entries.  Matrix coefficients ride along as
@@ -45,10 +48,6 @@ __all__ = [
     "check_linfty_relations", "quasi_iso_linear", "check_morphism",
     "check_cyclic", "random_homogeneous",
 ]
-
-# chunk buffers to roughly 256MB of complex entries
-_CHUNK_BYTES = 2 ** 28
-
 
 def _amax(arr):
     arr = np.asarray(arr)
@@ -247,12 +246,6 @@ def lambda_oracle(algebra, H, vectors, degrees):
     return total
 
 
-def _chunks(total, width):
-    step = max(1, _CHUNK_BYTES // (16 * max(width, 1)))
-    for lo in range(0, total, step):
-        yield lo, min(lo + step, total)
-
-
 class Transferred:
     """Transferred operations over the harmonic basis.
 
@@ -333,7 +326,8 @@ def transfer(con, max_arity=4, d2=None):
     H = con.H
     degs = con.harm_degrees
     kap1 = np.where(degs % 2, -1.0, 1.0)
-    W1, R = Stack.of(-psi.T), Stack.of(P)     # leaves, root rows
+    R = Stack.of(P)
+    W = {1: Stack.of(-psi.T)}                 # H lam_s; the leaves at s = 1
 
     def at(cols, S):
         # position of each column in the stack S, -1 where S has none
@@ -345,7 +339,7 @@ def transfer(con, max_arity=4, d2=None):
         # H on each row of a stack: column H.col[e] moves to e, times H.val
         src = at(H.col, S)
         e = np.flatnonzero((src >= 0) & (H.val != 0))
-        return Stack(S.flat().vals[:, src[e]] * H.val[e], e)
+        return Stack(S.vals[:, src[e]] * H.val[e], e)
 
     def root(S):
         # the root rows on the stack's columns; the plain root is the pick
@@ -353,49 +347,43 @@ def transfer(con, max_arity=4, d2=None):
         pos = at(S.cols, R)
         return S.vals[..., pos >= 0] @ R.vals[:, pos[pos >= 0]].T
 
+    def plus(A, B):
+        # A + B on the union of their columns, in place where A's cover B's
+        if A is None:
+            return B
+        cols = np.union1d(A.cols, B.cols)
+        if len(cols) > len(A.cols):
+            vals = np.zeros((len(A.vals), len(cols)), dtype=complex)
+            vals[:, np.searchsorted(cols, A.cols)] = A.vals
+            A = Stack(vals, cols)
+        A.vals[:, np.searchsorted(cols, B.cols)] += B.vals
+        return A
+
     ops = {1: m1}
-    Lam2 = alg.product_batch(W1, W1)          # values (nh, nh, k)
-    ops[2] = root(Lam2)
-    if max_arity >= 3:
-        W2 = hom(Lam2)
-        del Lam2
-        m3 = np.zeros((nh, nh, nh, nh), dtype=complex)
-        m4 = np.zeros((nh,) * 5, dtype=complex) if max_arity >= 4 else None
-        # chunk over the leading input index, bounded by the widest stack;
-        # lam_3 never fully lives
-        for lo, hi in _chunks(nh, nh * nh * dim):
-            # s=1: +kappa(a) mu(W1, H lam_2);  s=2: -mu(H lam_2, W1)
-            T1 = alg.product_batch(W1._replace(vals=W1.vals[lo:hi]), W2)
-            T2 = alg.product_batch(
-                W2._replace(vals=W2.vals[lo * nh:hi * nh]), W1)
-            reached = np.zeros(dim, dtype=bool)
-            reached[T1.cols] = reached[T2.cols] = True
-            cols = np.flatnonzero(reached)
-            block = np.zeros((hi - lo, nh, nh, len(cols)), dtype=complex)
-            block[..., np.searchsorted(cols, T1.cols)] = (
-                T1.vals.reshape(hi - lo, nh, nh, len(T1.cols))
-                * kap1[lo:hi, None, None, None])
-            block[..., np.searchsorted(cols, T2.cols)] -= T2.vals.reshape(
-                hi - lo, nh, nh, len(T2.cols))
-            del T1, T2
-            block = Stack(block, cols)
-            m3[lo:hi] = root(block)
-            if m4 is not None:
-                W3 = hom(block)
-                # (3,1): +mu(H lam_3, W1), chunk covers the head index
-                m4[lo:hi] += alg.product_contract(W3, W1, R).reshape(
-                    hi - lo, nh, nh, nh, nh)
-                # (1,3): +mu(W1, H lam_3), chunk covers the second index
-                m4[:, lo:hi] += alg.product_contract(W1, W3, R).reshape(
-                    nh, hi - lo, nh, nh, nh)
-        ops[3] = m3
-        if m4 is not None:
-            # (2,2): -(-1)**(r_a + r_b) mu(H lam_2, H lam_2)
-            kap2 = np.einsum("a,b->ab", kap1, kap1).reshape(-1)
-            m4 -= alg.product_contract(
-                W2._replace(vals=W2.vals * kap2[:, None]), W2, R).reshape(
-                    (nh,) * 5)
-            ops[4] = m4
+    for n in range(2, max_arity + 1):
+        shape = (nh,) * (n + 1)
+        lam = None
+        # the order the dense reference sums in: s = 1, n - 1, 2 .. n - 2
+        for s in dict.fromkeys([1, n - 1, *range(2, n - 1)]):
+            t = n - s
+            # (-1)**(s+1) mu(H lam_s, H lam_t), with the Koszul sign of an
+            # even H lam_t past the first s inputs; +-1 on the rows is exact
+            f = (-1.0) ** (s + 1)
+            if t % 2 == 0:
+                f = f * reduce(np.multiply.outer, [kap1] * s).ravel()
+            X = W[s] if np.all(f == 1.0) else W[s]._replace(
+                vals=W[s].vals * np.reshape(f, (-1, 1)))
+            if n < max_arity:
+                lam = plus(lam, alg.product_batch(X, W[t]).flat())
+            elif lam is None:
+                lam = alg.product_contract(X, W[t], R).reshape(shape)
+            else:
+                lam += alg.product_contract(X, W[t], R).reshape(shape)
+        if n < max_arity:
+            ops[n] = root(lam).reshape(shape)
+            W[n] = hom(lam)
+        else:
+            ops[n] = lam
     return Transferred(ops, degs, con)
 
 

@@ -147,6 +147,22 @@ def test_run_suite_rejects_bad_config():
             run_suite(SuiteConfig(suite="htt", max_arity=arity))
 
 
+@pytest.mark.parametrize("arity", [2, 3])
+def test_htt_suite_below_arity_four(capsys, arity):
+    # the relation and cyclicity checks run over the arities built
+    code, rep = run_cli(capsys, "--suite", "htt", "--max-arity", str(arity))
+    assert code == 0
+    assert rep["pass"] is True
+    names = {"harmonic-count", "transfer-jacobi-relations",
+             "transfer-cochain-map", "transfer-cohomology-iso",
+             "transfer-cyclic-compatibility"}
+    got = {c["name"]: c for c in rep["checks"] if c["name"] in names}
+    assert set(got) == names
+    assert all(c["pass"] for c in got.values())
+    assert sorted(got["transfer-jacobi-relations"]["per_arity"]) == [
+        str(n) for n in range(2, arity + 1)]
+
+
 def test_htt_suite_matches_its_parts(capsys):
     # the acceptance gate reads these records from the four parts; the
     # CLI suite is their concatenation

@@ -424,15 +424,39 @@ def test_spin_cutoff_brackets_match_the_oracle(cutoff):
     assert np.count_nonzero(tb.m[3]) > 2000
     assert np.count_nonzero(tb.m[4]) > 15000
     rng = np.random.default_rng(17)
-    for n in (3, 4):
-        support = np.transpose(np.nonzero(tb.m[n]))[:, :n]
+    # the arity-3 build contracts m3 against the root rows
+    for m in (tb.m[3], tb.m[4], transfer(con, max_arity=3).m[3]):
+        n = m.ndim - 1
+        support = np.transpose(np.nonzero(m))[:, :n]
         picks = [support[rng.integers(len(support))] for _ in range(10)]
         picks += [rng.integers(con.nharm, size=n) for _ in range(10)]
         for idx in picks:
             vecs = [con.i_mat[:, t].astype(complex) for t in idx]
             dd = [int(con.harm_degrees[t]) for t in idx]
             ref = con.p_mat @ lambda_oracle(con.algebra, con.H, vecs, dd)
-            assert np.abs(ref - tb.m[n][tuple(idx)]).max() < 1e-13, idx
+            assert np.abs(ref - m[tuple(idx)]).max() < 1e-13, idx
+
+
+@pytest.mark.parametrize("which", ["toy", "sheaf4", "cutoff"])
+def test_top_arity_contracted_against_the_root(which, cutoff):
+    # below the top arity a lower build is the arity-4 build bitwise; its
+    # top arity skips the stack and the root pick, so it moves by roundoff
+    if which == "toy":
+        con = Contraction(*heisenberg_dga())
+        full = transfer(con, max_arity=4).m
+    elif which == "cutoff":
+        con, tb = cutoff
+        full = tb.m
+    else:
+        con = build_contraction(GComplex(4))
+        full = transfer(con, max_arity=4).m
+    for k in (2, 3):
+        got = transfer(con, max_arity=k).m
+        assert sorted(got) == list(range(1, k + 1))
+        for j in range(1, k):
+            assert np.array_equal(got[j], full[j]), (k, j)
+        scale = np.abs(full[k]).max()
+        assert np.abs(got[k] - full[k]).max() <= 1e-15 * scale, k
 
 
 def test_spin_cutoff_relations(cutoff):
