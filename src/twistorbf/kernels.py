@@ -24,6 +24,14 @@ rotating the target permutes that grid, and the block's value for a form of
 RadialFun weight w picks up e^(i (w - 1) alpha).  Each target ring of n_theta
 equally spaced targets is therefore evaluated directly only at its first
 q = n_theta // gcd(n_theta, period) targets, and the rest are rotations.
+
+The far grid is a product rule, z = r_a e^(i theta_b) with n_theta equally
+spaced angles, and a form of RadialFun weight w is P(r_a) e^(i w theta_b)
+there.  So the far sum over b of (cut kernel) times form is n_theta times
+the inverse FFT over b of the cut kernel, read at frequency w mod n_theta:
+the same finite sum reordered, aliasing included, with the forms evaluated
+on the radial nodes only (Huffenberger & Wandelt, ApJS 189 (2010) 255, do
+the azimuthal sums of spin-weighted transforms the same way).
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import math
 
 import numpy as np
 
-from .radial import SphereGrid, bilinear_integral
+from .radial import SphereGrid
 # Mobius is defined with the line bundle models and re-exported here
 from .sphere import LineBundleModel, Mobius
 
@@ -181,7 +189,9 @@ class KernelHomotopy:
 
     Both blocks are evaluated at q = n_theta // gcd(n_theta, period) targets
     per target ring and rotated to the rest (module docstring); at the
-    defaults that is one far and four near targets per ring of 64.
+    defaults that is one far and four near targets per ring of 64.  The far
+    block sums over the far grid's angle by one FFT per radial node, so the
+    forms are evaluated on its `order` radial nodes, not on the whole grid.
     """
 
     def __init__(self, model: LineBundleModel, order=64, d_flat=0.15,
@@ -193,24 +203,35 @@ class KernelHomotopy:
         self.d_cut = d_cut
         self.n_rho = n_rho
         self.n_phi = n_phi
+        # RadialFun.weight, not weights1: image forms record one less there
+        self._weights1 = np.array([f.weight for f in model.funs1])
         self._matrix = None
 
     # -- output values of H(basis forms) at the target points --------------
 
     def _far_block(self, zt):
-        """Far contribution for targets zt: (len(zt), dim1).  The far
-        basis is evaluated once; chunks of 256 targets bound the kernel
-        array."""
-        m = self.model
-        v1, _ = m.grid_data(self.far, 1)
-        wv1 = self.far.w[:, None] * v1.T
+        """Far contribution for targets zt: (len(zt), dim1).
+
+        Every form is a radial profile times e^(i w theta), so the sum over
+        the far grid's angles is one inverse FFT of the cut kernel per
+        radial node, read at frequency w mod n_theta (module docstring).
+        The forms are evaluated on the radial nodes only, and targets go in
+        chunks that keep each kernel array near 1 MB (2^16 complex values).
+        """
+        m, far, nt = self.model, self.far, self.far.n_theta
+        zf = far.z.reshape(far.n_radial, nt)
+        # profiles at theta = 0, times the ring weight pi du
+        prof = m.basis_values(zf[:, 0], 1) * (nt * far.w[::nt])
+        cols = self._weights1 % nt
+        step = max(1, 2 ** 16 // far.z.size)
         out = np.empty((len(zt), m.dim1), dtype=complex)
-        for i0 in range(0, len(zt), 256):
-            z = zt[i0:i0 + 256, None]
-            k = kernel_weighted(m.n, self.far.z[None, :], z)
-            d = chordal(self.far.z[None, :], z)
+        for i0 in range(0, len(zt), step):
+            z = zt[i0:i0 + step, None, None]
+            k = kernel_weighted(m.n, zf[None], z)
+            d = chordal(zf[None], z)
             cut = 1.0 - bump(d, self.d_flat, self.d_cut)
-            out[i0:i0 + 256] = (np.where(d < 1e-14, 0.0, k) * cut) @ wv1
+            kc = np.fft.ifft(np.where(d < 1e-14, 0.0, k) * cut, axis=-1)
+            out[i0:i0 + step] = np.einsum("tai,ia->ti", kc[:, :, cols], prof)
         return out
 
     def _near_block(self, zt):
@@ -245,9 +266,8 @@ class KernelHomotopy:
         t = self.targets
         q = t.n_theta // math.gcd(t.n_theta, period)
         base = block(t.z.reshape(t.n_radial, t.n_theta)[:, :q].ravel())
-        w = np.array([f.weight for f in self.model.funs1])
         alpha = 2.0 * math.pi * q * np.arange(t.n_theta // q) / t.n_theta
-        phase = np.exp(1j * alpha[:, None] * (w - 1)[None, :])
+        phase = np.exp(1j * alpha[:, None] * (self._weights1 - 1)[None, :])
         out = base.reshape(t.n_radial, 1, q, -1) * phase[None, :, None, :]
         return out.reshape(t.n_radial * t.n_theta, -1)
 
@@ -331,51 +351,3 @@ def separated_pairs(rng, count, min_chordal=0.35, max_chordal=None, scale=1.0):
             continue
         out.append((z1, z2))
     return out
-
-
-def harmonic_pair_bases(n, levels=3):
-    """Dual pair (t^a, s_a) entering the off-diagonal dbar identity at
-    twist n >= -1: holomorphic sections s_a of O(n) and harmonic
-    (0,1)-forms of O(-2-n) normalized against them by the bilinear pairing
-    int A s dzbar^dz = 2i int A s dx dy."""
-    if n < -1:
-        raise ValueError("dual pair bases are indexed by the n >= -1 branch")
-    if n == -1:
-        return [], []
-    msec = LineBundleModel(n, 1)
-    sections = list(msec.funs0)
-    mform = LineBundleModel(-2 - n, max(levels, 1))
-    forms = [mform.funs1[i] for i in range(mform.n_harm1)]
-    pair = np.array([[2j * bilinear_integral(a, s) for s in sections] for a in forms])
-    inv = np.linalg.inv(pair)
-    duals = []
-    for alpha in range(len(sections)):
-        f = None
-        for beta, a in enumerate(forms):
-            g = a.scale(inv[alpha, beta])
-            f = g if f is None else f.add(g)
-        duals.append(f)
-    return duals, sections
-
-
-def check_offdiag_dbar(n, z1, z2, step=1e-5):
-    """Residual of the off-diagonal identity: the dbar of h in its
-    non-holomorphic argument equals the bidiagonal sum of dual harmonic
-    pairs.  Relative to the larger of |h| and the predicted value."""
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    if n >= -1:
-        _, got = fd_wirtinger(lambda w: kernel_h(n, w, z2), z1, step)
-        duals, sections = harmonic_pair_bases(n)
-        pred = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
-        for t, s in zip(duals, sections):
-            pred = pred + t.eval(z1) * s.eval(z2)
-    else:
-        # h_n(z1, z2) = -h_{-2-n}(z2, z1) reduces this to the other branch
-        _, got = fd_wirtinger(lambda w: kernel_h(n, z1, w), z2, step)
-        duals, sections = harmonic_pair_bases(-2 - n)
-        pred = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
-        for t, s in zip(duals, sections):
-            pred = pred - t.eval(z2) * s.eval(z1)
-    scale = np.maximum(np.abs(kernel_h(n, z1, z2)), np.abs(pred))
-    return np.abs(got - pred) / np.maximum(scale, 1e-30)

@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,19 +12,22 @@ from twistorbf.kernels import (
     G_KERNEL_TWISTS,
     KernelHomotopy,
     Mobius,
+    bump,
     chain_identity_quadrature,
     check_holomorphy,
     check_invariance,
-    check_offdiag_dbar,
     chordal,
+    fd_wirtinger,
     kernel_h,
     kernel_hG,
+    kernel_weighted,
     operator_agreement,
     reduction_residual,
     separated_pairs,
     spectral_levels_mask,
 )
-from twistorbf.sphere import build_model
+from twistorbf.radial import bilinear_integral
+from twistorbf.sphere import LineBundleModel, build_model
 
 
 def test_regression_value():
@@ -152,6 +158,54 @@ def test_g_kernel_blocks():
         assert val == kernel_h(n, z1, z2)
 
 
+def harmonic_pair_bases(n, levels=3):
+    """Dual pair (t^a, s_a) entering the off-diagonal dbar identity at
+    twist n >= -1: holomorphic sections s_a of O(n) and harmonic
+    (0,1)-forms of O(-2-n) normalized against them by the bilinear pairing
+    int A s dzbar^dz = 2i int A s dx dy."""
+    if n < -1:
+        raise ValueError("dual pair bases are indexed by the n >= -1 branch")
+    if n == -1:
+        return [], []
+    msec = LineBundleModel(n, 1)
+    sections = list(msec.funs0)
+    mform = LineBundleModel(-2 - n, max(levels, 1))
+    forms = [mform.funs1[i] for i in range(mform.n_harm1)]
+    pair = np.array([[2j * bilinear_integral(a, s) for s in sections] for a in forms])
+    inv = np.linalg.inv(pair)
+    duals = []
+    for alpha in range(len(sections)):
+        f = None
+        for beta, a in enumerate(forms):
+            g = a.scale(inv[alpha, beta])
+            f = g if f is None else f.add(g)
+        duals.append(f)
+    return duals, sections
+
+
+def check_offdiag_dbar(n, z1, z2, step=1e-5):
+    """Residual of the off-diagonal identity: the dbar of h in its
+    non-holomorphic argument equals the bidiagonal sum of dual harmonic
+    pairs.  Relative to the larger of |h| and the predicted value."""
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+    if n >= -1:
+        _, got = fd_wirtinger(lambda w: kernel_h(n, w, z2), z1, step)
+        duals, sections = harmonic_pair_bases(n)
+        pred = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
+        for t, s in zip(duals, sections):
+            pred = pred + t.eval(z1) * s.eval(z2)
+    else:
+        # h_n(z1, z2) = -h_{-2-n}(z2, z1) reduces this to the other branch
+        _, got = fd_wirtinger(lambda w: kernel_h(n, z1, w), z2, step)
+        duals, sections = harmonic_pair_bases(-2 - n)
+        pred = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
+        for t, s in zip(duals, sections):
+            pred = pred - t.eval(z2) * s.eval(z1)
+    scale = np.maximum(np.abs(kernel_h(n, z1, z2)), np.abs(pred))
+    return np.abs(got - pred) / np.maximum(scale, 1e-30)
+
+
 def test_offdiag_dbar_identity():
     rng = np.random.default_rng(8)
     for n, tol in ((-1, 1e-8), (0, 1e-6), (2, 1e-6), (-4, 1e-6)):
@@ -264,6 +318,68 @@ def test_ring_rotation_matches_per_target_quadrature(n, target_order):
     want = _per_target_matrix(hq)
     got = hq.matrix()
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def _direct_far_block(hq, zt):
+    # oracle: the far block as the direct sum over every far grid point,
+    # with the forms evaluated on the whole grid, as it was before the
+    # angular FFT
+    m = hq.model
+    v1, _ = m.grid_data(hq.far, 1)
+    wv1 = hq.far.w[:, None] * v1.T
+    out = np.empty((len(zt), m.dim1), dtype=complex)
+    for i0 in range(0, len(zt), 256):
+        z = zt[i0:i0 + 256, None]
+        k = kernel_weighted(m.n, hq.far.z[None, :], z)
+        d = chordal(hq.far.z[None, :], z)
+        cut = 1.0 - bump(d, hq.d_flat, hq.d_cut)
+        out[i0:i0 + 256] = (np.where(d < 1e-14, 0.0, k) * cut) @ wv1
+    return out
+
+
+@pytest.mark.parametrize("n, levels, order, target_order", [
+    (-4, 3, 16, 12), (0, 3, 16, 12), (1, 3, 16, 12),
+    # 8 angles, fewer than the span of the form weights: aliased
+    (0, 6, 4, 12),
+    # targets on the far nodes, where the pole mask drops the kernel
+    (1, 3, 16, 16),
+])
+def test_far_block_matches_direct_sum(n, levels, order, target_order):
+    m = build_model(n, levels)
+    hq = KernelHomotopy(m, order=order, target_order=target_order)
+    w = np.array([f.weight for f in m.funs1])
+    if order == 4:
+        assert np.ptp(w) >= hq.far.n_theta
+    if order == target_order:
+        assert np.array_equal(hq.targets.z, hq.far.z)
+    zt = hq.targets.z
+    want = _direct_far_block(hq, zt)
+    got = hq._far_block(zt)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from procfs")
+def test_kernel_matrix_stays_small():
+    # kernel-quadrature's operator.  The far block held the forms on all
+    # 8,192 far points twice (63 x 8,192 complex each), which took this
+    # child to 68 MB.  VmHWM of a child with one BLAS thread, as in
+    # test_gcomplex.py::test_exactness_ladder_stays_small
+    code = ("from twistorbf.kernels import KernelHomotopy\n"
+            "from twistorbf.sphere import build_model\n"
+            "KernelHomotopy(build_model(0, 8), order=64,\n"
+            "               target_order=12).matrix()\n"
+            "print(open('/proc/self/status').read())\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    peak = [ln.split()[1] for ln in out.stdout.splitlines()
+            if ln.startswith("VmHWM:")]
+    assert int(peak[0]) < 55 * 1024     # kB: 55 MB
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
