@@ -64,8 +64,7 @@ from .radial import SphereGrid
 
 __all__ = [
     "BFData", "SuperField", "bv_action", "master_equation_residual",
-    "trace_cyclicity_residual", "action_expansion_oracle", "piece_bounds",
-    "product_rule",
+    "trace_cyclicity_residual", "piece_bounds", "product_rule",
 ]
 
 
@@ -217,14 +216,14 @@ class BFData(object):
     """Truncated complex with matrix coefficients, trace pairing and
     differential, ready for action and master equation evaluation.
 
-    The pairing must be nondegenerate; the extended complex is refused
-    for that reason (its resolution columns pair with several forms or
-    with none).  Fields are sampled on `grid`, the product rule `rule`
-    that `product_rule` sizes for this complex.
+    The pairing must be nondegenerate, its smallest singular value above
+    1e-8 of the largest; the extended complex is refused for that reason
+    (its resolution columns pair with several forms or with none).  Fields
+    are sampled on `grid`, the product rule `rule` that `product_rule`
+    sizes for this complex.
     """
 
-    def __init__(self, source, rank=2, cubic=True, n_aux=6, dbar=None,
-                 tol=1e-8):
+    def __init__(self, source, rank=2, cubic=True, n_aux=6, dbar=None):
         if not isinstance(source, GComplex):
             raise TypeError("source must be a GComplex")
         if source.extended:
@@ -238,7 +237,7 @@ class BFData(object):
         self.dim = source.dim
         pairing = source.pairing_matrix()
         ratio = pairing.nondegeneracy()
-        if not ratio > tol:
+        if not ratio > 1e-8:
             raise ValueError("degenerate trace pairing: smallest singular "
                              "value %.3e of the largest" % ratio)
         self.pairing = pairing.matrix
@@ -323,11 +322,6 @@ class BFData(object):
         mult = self.g.blocks[bi].mult
         return samples[..., st:st + mult * self._ngrid].reshape(
             samples.shape[:-1] + (mult, self._ngrid))
-
-    def to_grid(self, c):
-        """Sample a coefficient vector on the quadrature grid."""
-        c = np.asarray(c, dtype=complex)
-        return self._stack_to_grid(c[None])[0]
 
     def _stack_to_grid(self, cs):
         """(A, dim, k, k) coefficient stack -> (A, k, k, gdim) samples."""
@@ -452,43 +446,6 @@ def bv_action(data, a):
     if data.cubic:
         aa = data.g.product_apply(a, a)
         val = val + _plain_pair(data, aa, a) / 6.0
-    return val
-
-
-def action_expansion_oracle(data, indices, coeffs):
-    """Independent evaluation of S on a = sum_I e_I x A_I by assembling
-    the quadratic and cubic structure constants over the given support.
-
-    indices is a list of basis positions, coeffs the matching (k, k)
-    matrices.  Meant as a cross check of bv_action on small supports; the
-    cubic constants are built from left multiplication operators of basis
-    vectors, not from product_apply.
-    """
-    idx = list(indices)
-    n = len(idx)
-    pairing = data.pairing.dense()
-    quad = pairing @ data.dbar
-    val = 0.0
-    for i in range(n):
-        for j in range(n):
-            val += 0.5 * quad[idx[i], idx[j]] * np.trace(
-                coeffs[i] @ coeffs[j])
-    if data.cubic:
-        basis_ops = {}
-        for j in idx:
-            e = np.zeros((data.dim, 1, 1), dtype=complex)
-            e[j, 0, 0] = 1.0
-            basis_ops[j] = data.g.left_mult_operator(e).reshape(
-                data.dim, data.dim)
-        for i in range(n):
-            for j in range(n):
-                prod = basis_ops[idx[i]][:, idx[j]]
-                for l in range(n):
-                    c = pairing[:, idx[l]] @ prod
-                    if c == 0.0:
-                        continue
-                    val += c / 6.0 * np.trace(
-                        coeffs[i] @ coeffs[j] @ coeffs[l])
     return val
 
 

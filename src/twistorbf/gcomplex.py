@@ -27,22 +27,22 @@ maps, the trace and the pairing) is computed that way, by `_radial_sum`
 on a radial rule that is exact for the closed radial family, so they carry
 only roundoff error.  The rule's nodes lie on the positive real axis, where
 every phase is 1, so the profiles are real arrays and so is every integral
-but the trace's, whose weights are imaginary.  `n_radial` sets the rule's
-node count; the bv module multiplies fields pointwise on a product rule of
-its own, sized from the integrands it takes.
+but the trace's, whose weights are imaginary.  The rule has `N_RADIAL`
+nodes; the bv module multiplies fields pointwise on a product rule of its
+own, sized from the integrands it takes.
 
 The product wiring table (`GComplex.wiring`, built once per complex) is
 the one place that decides which pairs of block pieces multiply, into
 which piece, with what Koszul sign and what multiplicity tensor.  Every
 product path reads it: single, batched and contracted coefficient
-products, left multiplication operators, the trace pairing, and the grid
-products of the bv module.  The four coefficient products run through one
-core (`_products`), on the support of their inputs: batches of vectors
-travel as `graded.Stack`s (values on a set of columns), and each wiring
-term contracts only the rows and basis functions where its input pieces
-are nonzero, with a function tensor built for exactly those functions and
-the target functions the weight rule lets them reach.  No function tensor
-outlives the call that builds it.
+products, the trace pairing, and the grid products of the bv module.  The
+coefficient products run through one core (`_products`), on the support
+of their inputs: batches of vectors travel as `graded.Stack`s (values on
+a set of columns), and each wiring term contracts only the rows and basis
+functions where its input pieces are nonzero, with a function tensor
+built for exactly those functions and the target functions the weight
+rule lets them reach.  No function tensor outlives the call that builds
+it.
 
 Linear operators are stored in the shape they have: dbar, the homotopy H
 and the harmonic projector P as one `graded.Gather` each (`dbar`, `hom`,
@@ -70,8 +70,8 @@ import functools
 
 import numpy as np
 
-from .graded import (BiDegree, BigradedSpace, Gather, Pairing, Stack,
-                     class_runs, rank_by_components)
+from .graded import (BigradedSpace, Gather, Pairing, Stack, class_runs,
+                     rank_by_components)
 from .radial import RadialGrid
 from .sphere import build_model
 
@@ -84,7 +84,10 @@ VEE[0, 1, 1] = 1.0
 VEE[1, 0, 1] = 1.0
 VEE[1, 1, 2] = 1.0
 
-_O_BASE = (BiDegree(0, 0), BiDegree(3, 2), BiDegree(6, 4))
+_O_BASE = ((0, 0), (3, 2), (6, 4))
+
+# nodes of the radial rule every integral of the complex is summed on
+N_RADIAL = 48
 
 
 class GBlock:
@@ -100,12 +103,11 @@ class GBlock:
         self.levels = model.levels
         self.model = model
         self.zero_multiplication = part == "w"
-        bid = _O_BASE[ext]
-        if part == "w":
-            bid = bid + BiDegree(4, 4)
-        if hom == -1:
-            bid = bid + BiDegree(-1, 0)
-        self.bidegree = bid
+        # integer bidegree (k, l): the ideal side shifts by (4, 4), the
+        # homological index by (hom, 0)
+        k, l = _O_BASE[ext]
+        w = 4 if part == "w" else 0
+        self.bidegree = (k + w + hom, l + w)
 
     def dim(self, degree):
         return self.mult * self.model.dim(degree)
@@ -250,7 +252,7 @@ _CONTRACT_PATH = ["einsum_path", (0, 4), (2, 3), (0, 2), (0, 1)]
 class GComplex:
     """The truncated complex with its differentials, trace and products."""
 
-    def __init__(self, truncation=12, extended=False, n_radial=48):
+    def __init__(self, truncation=12, extended=False):
         if truncation < 2:
             raise ValueError("truncation too small")
         self.truncation = int(truncation)
@@ -261,14 +263,13 @@ class GComplex:
         # the extended complex shares them and the radial rule with its
         # quotient, so each profile is evaluated once for both
         if extended:
-            self.quotient = GComplex(truncation, extended=False,
-                                     n_radial=n_radial)
+            self.quotient = GComplex(truncation, extended=False)
             self.models = self.quotient.models
             self.radial = self.quotient.radial
             self._profile_cache = self.quotient._profile_cache
         else:
             self.models = {}
-            self.radial = RadialGrid(n_radial)
+            self.radial = RadialGrid(N_RADIAL)
             self._profile_cache = {}
         # the constant function of weight 0, the y or t factor of the
         # integrals that multiply fewer than three chart functions
@@ -316,7 +317,7 @@ class GComplex:
         for bi, b in enumerate(self.blocks):
             for q in (0, 1):
                 self.offsets[(bi, q)] = sum(sizes)
-                bids.append(b.bidegree + BiDegree(q, 0))
+                bids.append((b.bidegree[0] + q, b.bidegree[1]))
                 sizes.append(b.dim(q))
         self.dim = sum(sizes)
         self.space = BigradedSpace(np.repeat(bids, sizes, axis=0))
@@ -362,9 +363,8 @@ class GComplex:
             if imag > 1e-13:
                 raise ValueError("radial profile is not real: largest "
                                  "|imag| %.2e" % imag)
-            weights = np.array([f.weight for f in model.funs(q)], dtype=int)
             self._profile_cache[key] = (
-                (np.ascontiguousarray(vals.real), weights), wfac)
+                (np.ascontiguousarray(vals.real), model.weights(q)), wfac)
         return self._profile_cache[key]
 
     def _dense(self, blocks, rows=None):
@@ -399,9 +399,6 @@ class GComplex:
             if (b.ext, b.hom, b.part) == (ext, hom, part):
                 return bi
         raise KeyError((ext, hom, part))
-
-    def trace(self, x):
-        return self.trace_vector @ np.asarray(x)
 
     # -- products ---------------------------------------------------------
 
@@ -561,26 +558,6 @@ class GComplex:
         """Products of all row pairs of two `Stack`s: a Stack with values
         shaped (m, n, k), on the columns the products reach."""
         return self._products(X, Y)
-
-    def left_mult_operator(self, x):
-        """Matrix of y -> x * y for a matrix-valued element x of shape
-        (dim, k, k).
-
-        Returns W of shape (dim, k, dim, k); the product is
-        (x * y)[c, p, r] = sum_{n, q} W[c, p, n, q] y[n, q, r], so after
-        reshaping W to (dim * k, dim * k) products become plain matmuls.
-        Much cheaper than product_apply when one factor multiplies many
-        partners.
-        """
-        x = np.asarray(x, dtype=complex)
-        k = x.shape[-1]
-        # W[c, p, n, q] is the product of the row x[:, p, q] with e_n
-        basis = Stack(np.eye(self.dim, dtype=complex), np.arange(self.dim))
-        Z = self._products(Stack.of(x.reshape(self.dim, -1).T), basis)
-        W = np.zeros((self.dim, k, self.dim, k), dtype=complex)
-        W[Z.cols] = Z.vals.reshape(k, k, self.dim, len(Z.cols)).transpose(
-            3, 0, 2, 1)
-        return W
 
     def product_contract(self, X, Y, R):
         """R-projected pair products of three `Stack`s of rows: the

@@ -2,12 +2,12 @@
 
 Every space here is graded by one integer array of bidegrees (k, l),
 shaped (n, 2), a row per basis vector; the reduced degree k - l drives
-all sign rules.  Maps are dense complex matrices together with a bidegree
-shift, or a `Gather` when they have one nonzero per row (d-bar, H, P and
-the trace pairing); ranks are counted over the connected components of a
-matrix's nonzero pattern; the cohomology of a differential, with harmonic
-representatives, and the Koszul signs are what the sphere complexes and
-the homotopy transfer machinery build on.
+all sign rules, which take reduced degrees as plain integers.  Maps are
+dense complex matrices together with an integer bidegree shift, or a
+`Gather` when they have one nonzero per row (d-bar, H, P and the trace
+pairing).  Ranks, those of `cohomology` included, are counted by one
+routine, over the connected components of a matrix's nonzero pattern.
+The sphere complexes and the homotopy transfer machinery build on these.
 """
 
 from __future__ import annotations
@@ -19,33 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 
-class BiDegree(tuple):
-    """Integer pair (k, l); reduced degree is k - l."""
-
-    def __new__(cls, k, l):
-        return super().__new__(cls, (int(k), int(l)))
-
-    @property
-    def k(self):
-        return self[0]
-
-    @property
-    def l(self):
-        return self[1]
-
-    @property
-    def reduced(self):
-        return self[0] - self[1]
-
-    def __add__(self, other):
-        return BiDegree(self[0] + other[0], self[1] + other[1])
-
-
 def koszul_sign(deg_a, deg_b):
     """Sign picked up when a moves past b, from reduced degree parity."""
-    ra = deg_a.reduced if isinstance(deg_a, BiDegree) else int(deg_a)
-    rb = deg_b.reduced if isinstance(deg_b, BiDegree) else int(deg_b)
-    return -1 if (ra % 2) and (rb % 2) else 1
+    return -1 if (int(deg_a) % 2) and (int(deg_b) % 2) else 1
 
 
 def merge_sign(s, t):
@@ -83,7 +59,7 @@ def koszul_sign_permutation(perm, degrees):
     multilinear calculus.
     """
     perm = list(perm)
-    degs = [d.reduced if isinstance(d, BiDegree) else int(d) for d in degrees]
+    degs = [int(d) for d in degrees]
     sign = 1
     # bubble to identity, tracking both the transposition sign and the
     # Koszul factor of the two swapped neighbours
@@ -121,19 +97,20 @@ class BigradedSpace:
 
 
 class GradedMap:
-    """Dense matrix between bigraded spaces, homogeneous of a fixed shift."""
+    """Dense matrix between bigraded spaces, homogeneous of a fixed integer
+    shift (k, l); with check, an entry above 1e-12 off that shift raises."""
 
-    def __init__(self, source, target, shift, matrix, check=True, tol=1e-12):
+    def __init__(self, source, target, shift, matrix, check=True):
         self.source = source
         self.target = target
-        self.shift = BiDegree(*shift)
+        self.shift = np.asarray(shift, dtype=int)
         self.matrix = np.asarray(matrix, dtype=complex)
         if self.matrix.shape != (target.dim, source.dim):
             raise ValueError("matrix shape %s does not match spaces (%d, %d)"
                              % (self.matrix.shape, target.dim, source.dim))
         if check:
             bad = self.degree_violation()
-            if bad > tol:
+            if bad > 1e-12:
                 raise ValueError("entries off the declared bidegree shift "
                                  "(max %.3e)" % bad)
 
@@ -286,79 +263,25 @@ def chain_identity_residual(d, H, P):
                        d @ H, H @ d, eye, P)
 
 
-def _rank(mat, tol=1e-10):
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def cohomology(d):
+    """Graded dimensions {reduced degree: dim} of ker d / im d.
 
-
-def cohomology(d, gram=None, tol=1e-10):
-    """Graded dimensions of ker d / im d, by reduced degree.
-
-    d must shift reduced degree by +1.  Returns {reduced_degree: dim}.  When
-    gram is given (Hermitian inner product on the total space) the result
-    also carries orthonormal harmonic representatives per degree under key
-    ``representatives``: vectors in ker d orthogonal to im d.
-    """
+    d must shift reduced degree by +1.  Ranks count the singular values
+    above 1e-10 (`rank_by_components`); a d-bar's nonzero ones are its
+    level constants, at least sqrt(2)."""
     if d.source is not d.target:
         raise ValueError("cohomology needs an endomorphism-type differential")
-    space = d.source
-    reduced = space.reduced_degrees()
+    reduced = d.source.reduced_degrees()
     dims = {}
-    reps = {}
     for r in sorted(set(reduced.tolist())):
         idx = np.nonzero(reduced == r)[0]
         idx_prev = np.nonzero(reduced == r - 1)[0]
-        blk = d.matrix[:, idx]
-        # d restricted to degree r, mapping anywhere
-        rank_out = _rank(blk, tol)
-        dim_ker = len(idx) - rank_out
-        rank_in = _rank(d.matrix[np.ix_(idx, idx_prev)], tol) if len(idx_prev) else 0
-        dims[r] = dim_ker - rank_in
-        if gram is not None and dims[r] > 0:
-            reps[r] = _harmonic_reps(d.matrix, reduced, r, gram, tol)
-    out = {"dims": dims}
-    if gram is not None:
-        out["representatives"] = reps
-    return out
-
-
-def _harmonic_reps(dmat, reduced, r, gram, tol):
-    idx = np.nonzero(reduced == r)[0]
-    idx_prev = np.nonzero(reduced == r - 1)[0]
-    blk_out = dmat[:, idx]
-    # kernel basis
-    if blk_out.size:
-        u, s, vh = np.linalg.svd(blk_out)
-        smax = s[0] if s.size else 0.0
-        ker = vh[np.sum(s > tol * max(smax, 1e-300)):].conj().T
-    else:
-        ker = np.eye(len(idx))
-    if len(idx_prev):
-        img = dmat[np.ix_(idx, idx_prev)]
-    else:
-        img = np.zeros((len(idx), 0))
-    g = gram[np.ix_(idx, idx)]
-    # orthogonal complement of im d inside ker d, w.r.t. gram
-    if img.shape[1] and ker.shape[1]:
-        proj = ker.conj().T @ g @ img
-        u2, s2, _ = np.linalg.svd(proj, full_matrices=True)
-        rank = int(np.sum(s2 > tol * s2[0])) if s2.size and s2[0] > 0 else 0
-        basis = ker @ u2[:, rank:] if rank < ker.shape[1] else np.zeros((len(idx), 0))
-    else:
-        basis = ker
-    # orthonormalize w.r.t. gram
-    if basis.shape[1]:
-        m = basis.conj().T @ g @ basis
-        w, v = np.linalg.eigh(m)
-        keep = w > tol * max(w.max(), 1e-300)
-        basis = basis @ v[:, keep] / np.sqrt(w[keep])
-    full = np.zeros((dmat.shape[0], basis.shape[1]), dtype=complex)
-    full[idx, :] = basis
-    return full
+        # d restricted to degree r, mapping anywhere; and into degree r
+        rank_out = rank_by_components(d.matrix[:, idx], 1e-10)[0]
+        rank_in = rank_by_components(d.matrix[np.ix_(idx, idx_prev)],
+                                     1e-10)[0]
+        dims[r] = len(idx) - rank_out - rank_in
+    return dims
 
 
 class Pairing:

@@ -168,9 +168,13 @@ def _smooth_step(x):
     return a / (a + b)
 
 
-def bump(d, d_flat, d_cut):
-    """1 inside chordal distance d_flat, 0 beyond d_cut, smooth between."""
-    return _smooth_step((d_cut - d) / (d_cut - d_flat))
+# the bump's radii in chordal distance: flat inside D_FLAT, zero past D_CUT
+D_FLAT, D_CUT = 0.15, 0.55
+
+
+def bump(d):
+    """1 inside chordal distance D_FLAT, 0 beyond D_CUT, smooth between."""
+    return _smooth_step((D_CUT - d) / (D_CUT - D_FLAT))
 
 
 def _center_mobius(z2):
@@ -194,17 +198,13 @@ class KernelHomotopy:
     forms are evaluated on its `order` radial nodes, not on the whole grid.
     """
 
-    def __init__(self, model: LineBundleModel, order=64, d_flat=0.15,
-                 d_cut=0.55, n_rho=24, n_phi=48, target_order=32):
+    def __init__(self, model: LineBundleModel, order=64, n_rho=24, n_phi=48,
+                 target_order=32):
         self.model = model
         self.far = SphereGrid(order, 2 * order)
         self.targets = SphereGrid(target_order, 2 * target_order)
-        self.d_flat = d_flat
-        self.d_cut = d_cut
         self.n_rho = n_rho
         self.n_phi = n_phi
-        # RadialFun.weight, not weights1: image forms record one less there
-        self._weights1 = np.array([f.weight for f in model.funs1])
         self._matrix = None
 
     # -- output values of H(basis forms) at the target points --------------
@@ -222,14 +222,14 @@ class KernelHomotopy:
         zf = far.z.reshape(far.n_radial, nt)
         # profiles at theta = 0, times the ring weight pi du
         prof = m.basis_values(zf[:, 0], 1) * (nt * far.w[::nt])
-        cols = self._weights1 % nt
+        cols = m.weights1 % nt
         step = max(1, 2 ** 16 // far.z.size)
         out = np.empty((len(zt), m.dim1), dtype=complex)
         for i0 in range(0, len(zt), step):
             z = zt[i0:i0 + step, None, None]
             k = kernel_weighted(m.n, zf[None], z)
             d = chordal(zf[None], z)
-            cut = 1.0 - bump(d, self.d_flat, self.d_cut)
+            cut = 1.0 - bump(d)
             kc = np.fft.ifft(np.where(d < 1e-14, 0.0, k) * cut, axis=-1)
             out[i0:i0 + step] = np.einsum("tai,ia->ti", kc[:, :, cols], prof)
         return out
@@ -237,14 +237,14 @@ class KernelHomotopy:
     def _near_block(self, zt):
         """Near contribution on rotated polar grids: (len(zt), dim1)."""
         m = self.model
-        rho_max = self.d_cut / math.sqrt(1.0 - self.d_cut ** 2)
+        rho_max = D_CUT / math.sqrt(1.0 - D_CUT ** 2)
         x, wx = np.polynomial.legendre.leggauss(self.n_rho)
         rho = 0.5 * rho_max * (x + 1.0)
         wrho = 0.5 * rho_max * wx
         phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
         zeta = rho[:, None] * np.exp(1j * phi)[None, :]
         dchord = (rho / np.sqrt(1.0 + rho ** 2))
-        chi = bump(dchord, self.d_flat, self.d_cut)
+        chi = bump(dchord)
         # polar measure, Jacobian of the rotation added per target below
         wzeta = (wrho * rho * chi)[:, None] * (2.0 * math.pi / self.n_phi)
         out = np.empty((len(zt), self.model.dim1), dtype=complex)
@@ -267,7 +267,8 @@ class KernelHomotopy:
         q = t.n_theta // math.gcd(t.n_theta, period)
         base = block(t.z.reshape(t.n_radial, t.n_theta)[:, :q].ravel())
         alpha = 2.0 * math.pi * q * np.arange(t.n_theta // q) / t.n_theta
-        phase = np.exp(1j * alpha[:, None] * (self._weights1 - 1)[None, :])
+        w = self.model.weights1
+        phase = np.exp(1j * alpha[:, None] * (w - 1)[None, :])
         out = base.reshape(t.n_radial, 1, q, -1) * phase[None, :, None, :]
         return out.reshape(t.n_radial * t.n_theta, -1)
 
@@ -281,9 +282,6 @@ class KernelHomotopy:
         v0, wfac = m.grid_data(self.targets, 0)
         self._matrix = v0.conj() @ (wfac[:, None] * outvals)
         return self._matrix
-
-    def apply(self, coeffs1):
-        return self.matrix() @ np.asarray(coeffs1, dtype=complex)
 
 
 def spectral_levels_mask(model, degree, n_levels):
@@ -332,7 +330,7 @@ def chain_identity_quadrature(model, hquad, rng, samples=50):
     return float(worst)
 
 
-def separated_pairs(rng, count, min_chordal=0.35, max_chordal=None, scale=1.0):
+def separated_pairs(rng, count, min_chordal=0.35, max_chordal=None):
     """Seeded off-diagonal sample pairs with a chordal separation floor.
 
     max_chordal additionally keeps z1 away from the antipode of z2 (the two
@@ -342,8 +340,8 @@ def separated_pairs(rng, count, min_chordal=0.35, max_chordal=None, scale=1.0):
     """
     out = []
     while len(out) < count:
-        z1 = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-        z2 = scale * (rng.standard_normal() + 1j * rng.standard_normal())
+        z1 = rng.standard_normal() + 1j * rng.standard_normal()
+        z2 = rng.standard_normal() + 1j * rng.standard_normal()
         d = chordal(z1, z2)
         if d < min_chordal:
             continue

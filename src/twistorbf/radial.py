@@ -44,9 +44,6 @@ class RadialFun:
             return a - b
         return 0
 
-    def is_zero(self, tol=0.0):
-        return all(abs(c) <= tol for c in self.terms.values())
-
     def copy(self):
         f = RadialFun(gamma=self.gamma)
         f.terms = dict(self.terms)
@@ -219,13 +216,6 @@ def hermitian_inner(f, g, weight_exponent):
     return integral_exact(prod)
 
 
-def bilinear_integral(f, g):
-    """Closed-form integral of f g dx dy (no conjugation)."""
-    if f.weight + g.weight != 0:
-        return 0.0 + 0.0j
-    return integral_exact(f.mul(g))
-
-
 def gauss_legendre(n):
     """Gauss-Legendre nodes and weights on [-1, 1].
 
@@ -268,10 +258,6 @@ class RadialGrid:
         self.w = math.pi * self.du
         self.D = 1.0 + self.u
 
-    def integrate_radial(self, values):
-        """pi * int values(u) du: the dx dy integral of a weight-0 profile."""
-        return np.sum(values * self.w, axis=-1)
-
 
 class SphereGrid:
     """Product rule (radial Gauss) x (uniform angle) for dx dy integrals."""
@@ -290,6 +276,3 @@ class SphereGrid:
         self.w = wq.ravel()
         self.u = (np.abs(self.z) ** 2)
         self.D = 1.0 + self.u
-
-    def integrate(self, values):
-        return np.sum(values * self.w, axis=-1)

@@ -143,10 +143,8 @@ class LineBundleModel:
         # when b = 0
         self.lambdas = np.sqrt(2.0 * b * (a + 1))
 
-        # weights1 is the weight of the section a form comes from: for an
-        # image form (src_level1 >= 0) that is one less than its
-        # coefficient's RadialFun.weight, for a harmonic form it is the
-        # coefficient's weight.  Angular selection rules read RadialFun.weight.
+        # weights0 and weights1 hold each chart function's torus weight,
+        # RadialFun.weight: an image form's is one more than its section's
         self.funs0, self.weights0, self.level0 = [], [], []
         self.funs1, self.weights1, self.src_level1 = [], [], []
         self._image_pairs = []      # (section, its image form)
@@ -178,7 +176,7 @@ class LineBundleModel:
                 self._image_pairs.append((len(self.funs0) - 1,
                                           len(self.funs1)))
                 self.funs1.append(g)
-                self.weights1.append(w)
+                self.weights1.append(w + 1)
                 self.src_level1.append(p)
 
         self.weights0 = np.array(self.weights0, dtype=int)
@@ -222,18 +220,19 @@ class LineBundleModel:
         """D-exponent making chart profiles bounded: n/2 or n/2 - 1."""
         return self.n / 2.0 if degree == 0 else self.n / 2.0 - 1.0
 
-    def basis_values(self, z, degree, normalized=True):
-        """Matrix of basis chart values, shape (dim, len(z))."""
+    def basis_values(self, z, degree):
+        """Matrix of normalized basis chart values, shape (dim, len(z))."""
         z = np.asarray(z, dtype=complex)
-        extra = self.normalized_extra(degree) if normalized else 0.0
+        extra = self.normalized_extra(degree)
         fs = self.funs(degree)
         out = np.empty((len(fs), z.size), dtype=complex)
         for i, f in enumerate(fs):
             out[i] = f.eval(z.ravel(), extra=extra)
         return out.reshape((len(fs),) + z.shape)
 
-    def values(self, coeffs, z, degree, normalized=True):
-        return np.tensordot(np.asarray(coeffs), self.basis_values(z, degree, normalized), axes=(0, 0))
+    def values(self, coeffs, z, degree):
+        return np.tensordot(np.asarray(coeffs), self.basis_values(z, degree),
+                            axes=(0, 0))
 
     def grid_data(self, grid, degree):
         """(basis values, projection weights) on a SphereGrid or a
@@ -243,15 +242,6 @@ class LineBundleModel:
 
     def grid_weights(self, grid, degree):
         return grid.w / grid.D ** 2 * (2.0 if degree == 1 else 1.0)
-
-    def grid_project(self, values, grid, degree):
-        """Coefficients of normalized chart values given on grid points."""
-        v, wfac = self.grid_data(grid, degree)
-        return v.conj() @ (wfac * values)
-
-    def grid_inner(self, va, vb, grid, degree):
-        wfac = self.grid_weights(grid, degree)
-        return np.sum(wfac * va * np.conj(vb))
 
     # -- group action ------------------------------------------------------
 
@@ -281,8 +271,8 @@ class LineBundleModel:
     # -- diagnostics -------------------------------------------------------
 
     def serre_dims(self):
-        out = cohomology(self.dbar_total)
-        return (out["dims"].get(0, 0), out["dims"].get(1, 0))
+        dims = cohomology(self.dbar_total)
+        return (dims.get(0, 0), dims.get(1, 0))
 
     def chain_homotopy_residual(self):
         """Spectral norm of dbar H + H dbar - (1 - P): the residual is

@@ -14,6 +14,7 @@ The htt suite is the concatenation of four parts (`HTT_PARTS`); the
 acceptance gate calls them one by one and asserts on their records.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -80,8 +81,14 @@ class SuiteConfig:
         if not 2 <= self.max_arity <= 4:
             raise ValueError("max_arity must be 2, 3 or 4 (the arities "
                              "transfer builds), not %d" % self.max_arity)
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.tol is not None and not (math.isfinite(self.tol)
+                                         and self.tol > 0):
+            raise ValueError("tol must be positive and finite, not %r"
+                             % self.tol)
+        # every suite seeds numpy generators with seed + a nonnegative
+        # offset, and numpy refuses negative seeds
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative, not %d" % self.seed)
         if self.n_range is not None:
             lo, hi = self.n_range
             if lo > hi:

@@ -45,9 +45,14 @@ from .sphere import LineBundleModel
 __all__ = [
     "DenseAlgebra", "heisenberg_dga", "Contraction", "build_contraction",
     "transfer", "Transferred", "lambda_oracle", "check_ainfinity",
-    "check_linfty_relations", "quasi_iso_linear", "check_morphism",
-    "check_cyclic", "random_homogeneous",
+    "check_linfty_relations", "quasi_iso_linear", "check_cyclic",
+    "random_homogeneous",
 ]
+
+# below this largest |entry| the transferred differential counts as zero,
+# and the relation checks drop the terms it would enter
+_M1_ZERO = 1e-10
+
 
 def _amax(arr):
     arr = np.asarray(arr)
@@ -171,14 +176,15 @@ class Contraction:
                 raise ValueError("side condition failed: %s residual %.3e"
                                  % (name, val))
 
-    def perturbed(self, d2=None, max_terms=8, tol=1e-12):
+    def perturbed(self, d2=None):
         """Leaf and root corrections for a second differential d2.
 
         In this chain-identity convention the homotopy enters the
         geometric series with a minus: psi = sum (-H d2)^k i and
         phi = sum p (-d2 H)^k, with m1 = phi (d + d2) psi.  The series
-        must terminate; nilpotency is checked, not assumed.  Without d2
-        this is (i, p, p d i).
+        must terminate within 8 terms, the next one below 1e-12;
+        nilpotency is checked, not assumed.  Without d2 this is
+        (i, p, p d i).
         """
         psi = self.i_mat.astype(complex)
         phi = self.p_mat.astype(complex)
@@ -187,9 +193,9 @@ class Contraction:
         d2 = np.asarray(d2, dtype=complex)
         def series(out, step, name):
             term = out
-            for _ in range(max_terms):
+            for _ in range(8):
                 term = step(term)
-                if np.abs(term).max() < tol:
+                if np.abs(term).max() < 1e-12:
                     return out
                 out = out + term
             raise ValueError("%s series did not terminate" % name)
@@ -416,7 +422,7 @@ def random_homogeneous(degrees, rng, r, rank=None):
     return x
 
 
-def check_ainfinity(tb, through_arity=4, tol_m1=1e-10):
+def check_ainfinity(tb, through_arity=4):
     """Residuals of the associativity-tower identities on the tensors.
 
     Relation at arity n sums (-1)**(r + s*t) times the inner operation in
@@ -433,7 +439,7 @@ def check_ainfinity(tb, through_arity=4, tol_m1=1e-10):
     letters = "abcdefg"
     for n in range(1, through_arity + 1):
         if n == 1:
-            out[1] = m1_norm if m1_norm < tol_m1 else float(
+            out[1] = m1_norm if m1_norm < _M1_ZERO else float(
                 np.abs(tb.m[1] @ tb.m[1]).max())
             continue
         acc = None
@@ -442,7 +448,7 @@ def check_ainfinity(tb, through_arity=4, tol_m1=1e-10):
         for s in range(1, n + 1):
             outer_ar = n - s + 1
             if s > built or outer_ar > built:
-                if m1_norm < tol_m1 and (s == 1 or outer_ar == 1):
+                if m1_norm < _M1_ZERO and (s == 1 or outer_ar == 1):
                     continue        # term vanishes with m_1
                 skipped = True
                 break
@@ -478,7 +484,7 @@ def check_ainfinity(tb, through_arity=4, tol_m1=1e-10):
 
 
 def check_linfty_relations(tb, rng, max_arity=4, samples=2, rank=None,
-                           tol_m1=1e-10, degrees=None):
+                           degrees=None):
     """Generalized Jacobi residuals on random homogeneous probes.
 
     Relation at arity n:
@@ -507,7 +513,7 @@ def check_linfty_relations(tb, rng, max_arity=4, samples=2, rank=None,
             for i in range(1, n + 1):
                 j = n + 1 - i
                 if i > tb.max_arity or j > tb.max_arity:
-                    if m1_norm < tol_m1 and (i == 1 or j == 1):
+                    if m1_norm < _M1_ZERO and (i == 1 or j == 1):
                         continue
                     raise ValueError(
                         "arity %d relation needs unbuilt operations" % n)
@@ -542,10 +548,11 @@ def quasi_iso_linear(con, d2=None):
     rk_d = rank_by_components(dtot, 1e-8)[0]
     rk_1 = induced = 0
     if con.nharm:
-        # null space of m1 by scipy's rule: cut at 1e-10 of the largest
+        # rank and null space of m1 at one cut, 1e-10 of the largest
+        # singular value (scipy's rule)
         _, s, vh = np.linalg.svd(m1)
-        rk_1 = int(np.sum(s > 1e-10))
-        ker = vh[np.sum(s > 1e-10 * s.max()):].conj().T
+        rk_1 = int(np.sum(s > 1e-10 * s.max()))
+        ker = vh[rk_1:].conj().T
         stacked = np.hstack([dtot, psi @ ker])
         induced = rank_by_components(stacked, 1e-8)[0] - rk_d
     dim_h_target = con.dim - 2 * rk_d
@@ -557,23 +564,6 @@ def quasi_iso_linear(con, d2=None):
         "induced_rank": int(induced),
         "isomorphism": bool(induced == dim_h_source == dim_h_target),
     }
-
-
-def check_morphism(psi, omega_src, omega_tgt, l1_src, d_tgt):
-    """Pullback residuals of a linear morphism on pairing and action.
-
-    The quadratic part of the action is omega(x, d x) / 2, so matching to
-    this order means psi^T omega d psi agrees with the source version.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    pull = psi.T @ omega_tgt @ psi
-    scale = max(float(np.abs(omega_src).max()), 1e-30)
-    r_pair = float(np.abs(pull - omega_src).max()) / scale
-    lhs = psi.T @ omega_tgt @ d_tgt @ psi
-    rhs = omega_src @ l1_src
-    r_act = float(np.abs(lhs - rhs).max()) / max(
-        float(np.abs(rhs).max()), scale)
-    return {"pairing_residual": r_pair, "action_residual": r_act}
 
 
 def check_cyclic(tb, pairing_h, rng, arities=(2, 3, 4), samples=3,

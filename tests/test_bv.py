@@ -3,6 +3,7 @@ import pytest
 
 from twistorbf.gcomplex import GComplex, trace_weights
 from twistorbf import bv
+from twistorbf.graded import Stack
 from twistorbf.sphere import harmonic_forms, level_sections
 
 G = GComplex(6)
@@ -26,6 +27,38 @@ def test_zero_field_action():
     assert bv.bv_action(DATA, z) == 0.0
 
 
+def action_expansion_oracle(data, indices, coeffs):
+    """Independent evaluation of S on a = sum_I e_I x A_I by assembling
+    the quadratic and cubic structure constants over the given support.
+
+    indices is an ascending list of basis positions, coeffs the matching
+    (k, k) matrices.  A cross check of bv_action on small supports: the
+    cubic constants pair the products of basis vectors, taken in one
+    product_batch, not the products of the field that bv_action forms.
+    """
+    idx = list(indices)
+    n = len(idx)
+    pairing = data.pairing.dense()
+    quad = pairing @ data.dbar
+    val = 0.0
+    for i in range(n):
+        for j in range(n):
+            val += 0.5 * quad[idx[i], idx[j]] * np.trace(
+                coeffs[i] @ coeffs[j])
+    if data.cubic:
+        basis = Stack(np.eye(n), np.array(idx))
+        prods = data.g.product_batch(basis, basis).dense(data.dim)
+        for i in range(n):
+            for j in range(n):
+                for l in range(n):
+                    c = pairing[:, idx[l]] @ prods[i, j]
+                    if c == 0.0:
+                        continue
+                    val += c / 6.0 * np.trace(
+                        coeffs[i] @ coeffs[j] @ coeffs[l])
+    return val
+
+
 def test_action_matches_structure_constant_expansion():
     # support chosen to hit nonzero quadratic and cubic constants
     rng = np.random.default_rng(3)
@@ -35,10 +68,11 @@ def test_action_matches_structure_constant_expansion():
     for i in rng.choice(rows, size=4, replace=False):
         support.add(int(i))
         support.add(int(np.argmax(np.abs(quad[i]))))
-    e = np.zeros((G.dim, 1, 1), dtype=complex)
     i0 = sorted(support)[0]
-    e[i0, 0, 0] = 1.0
-    W = G.left_mult_operator(e).reshape(G.dim, G.dim)
+    # W[c, n]: entry c of the product of basis vectors i0 and n
+    W = G.product_batch(Stack(np.ones((1, 1)), np.array([i0])),
+                        Stack(np.eye(G.dim), np.arange(G.dim))).dense(
+                            G.dim)[0].T
     j0 = int(np.argmax(np.abs(W).sum(axis=0)))
     l0 = int(np.argmax(np.abs(W[:, j0] @ DATA.pairing)))
     support.update((j0, l0))
@@ -49,7 +83,7 @@ def test_action_matches_structure_constant_expansion():
     for i, j in enumerate(idxs):
         a[j] = mats[i]
     direct = bv.bv_action(DATA, a)
-    oracle = bv.action_expansion_oracle(DATA, idxs, mats)
+    oracle = action_expansion_oracle(DATA, idxs, mats)
     assert abs(oracle) > 1.0          # the check must see both terms
     assert abs(direct - oracle) < 1e-10 * abs(oracle)
 
@@ -203,7 +237,8 @@ def test_gmult_matches_product_apply_on_level_zero(px, py):
     x, y = field(px), field(py)
     got = DATA.gmult(DATA.field_to_grid(bv.SuperField({0: x}, px)),
                      DATA.field_to_grid(bv.SuperField({0: y}, py)))
-    want = bv.SuperField({0: DATA.to_grid(G.product_apply(x, y))}, px + py)
+    want = bv.SuperField({0: DATA._stack_to_grid(
+        G.product_apply(x, y)[None])[0]}, px + py)
     assert _max_rel(got, want) < 1e-12
 
 

@@ -99,6 +99,26 @@ def test_negative_config_rejected():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    # numpy refuses a negative seed: each suite died with exit 1 and no
+    # report, though exit 1 promises one
+    (["--suite", "invariance", "--seed", "-5000"], "seed must be"),
+    (["--suite", "htt", "--seed", "-1"], "seed must be"),
+    (["--suite", "bv", "--seed", "-1"], "seed must be"),
+    # nan <= 0 is False: every non-exact record got threshold NaN and the
+    # report held a bare NaN, which is not JSON
+    (["--suite", "invariance", "--tol", "nan"], "tol must be"),
+    (["--tol", "nan"], "tol must be"),
+    (["--suite", "invariance", "--tol", "inf"], "tol must be"),
+])
+def test_negative_seed_and_non_finite_tol_are_usage_errors(args, message,
+                                                           capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite,low,need", [
     ("htt", 4, 5), ("htt", 1, 5), ("all", 4, 5), ("bv", 1, 2)])
 def test_truncation_below_the_suite_is_usage_error(suite, low, need, capsys):

@@ -26,8 +26,9 @@ from twistorbf.kernels import (
     separated_pairs,
     spectral_levels_mask,
 )
-from twistorbf.radial import bilinear_integral
 from twistorbf.sphere import LineBundleModel, build_model
+
+from test_radial import bilinear_integral
 
 
 def test_regression_value():
@@ -288,7 +289,7 @@ def test_kernel_checks_match_dense_blocks_bitwise(n):
 
 def test_quadrature_zero_in_zero_out():
     m, hq = _hq(0)
-    assert np.abs(hq.apply(np.zeros(m.dim1))).max() == 0.0
+    assert np.abs(hq.matrix() @ np.zeros(m.dim1)).max() == 0.0
 
 
 def _per_target_matrix(hq):
@@ -332,7 +333,7 @@ def _direct_far_block(hq, zt):
         z = zt[i0:i0 + 256, None]
         k = kernel_weighted(m.n, hq.far.z[None, :], z)
         d = chordal(hq.far.z[None, :], z)
-        cut = 1.0 - bump(d, hq.d_flat, hq.d_cut)
+        cut = 1.0 - bump(d)
         out[i0:i0 + 256] = (np.where(d < 1e-14, 0.0, k) * cut) @ wv1
     return out
 
@@ -348,7 +349,7 @@ def test_far_block_matches_direct_sum(n, levels, order, target_order):
     m = build_model(n, levels)
     hq = KernelHomotopy(m, order=order, target_order=target_order)
     if order == 4:
-        assert np.ptp(hq._weights1) >= hq.far.n_theta
+        assert np.ptp(m.weights1) >= hq.far.n_theta
     if order == target_order:
         assert np.array_equal(hq.targets.z, hq.far.z)
     zt = hq.targets.z
@@ -389,8 +390,7 @@ def test_ring_rotation_phase_rule(n, r, theta, s):
     # that grid; the kernel turns by e^(-i alpha), form f by e^(i w_f alpha)
     m = _small_model(n)
     hq = KernelHomotopy(m, order=16)
-    # RadialFun.weight, not weights1: image forms record one less there
-    w = np.array([f.weight for f in m.funs1])
+    w = m.weights1
     z = np.array([r * np.exp(1j * theta)])
     for block, period in ((hq._near_block, hq.n_phi),
                           (hq._far_block, hq.far.n_theta)):

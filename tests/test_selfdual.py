@@ -9,8 +9,7 @@ import numpy as np
 from twistorbf.graded import exterior_algebra, koszul_sign, merge_sign
 from twistorbf.selfdual import (
     A_ALG, EPS, EXT4, LAMBDA2_MINUS, LAMBDA2_PLUS, SPIN, SUB_INDEX, SUBSETS,
-    U_ALG, VOL_INDEX, check_u_cohomology_iso, hodge_star,
-    lambda2_minus_action, sd_asd_split, spinor_intertwiner_report,
+    U_ALG, VOL_INDEX, check_u_cohomology_iso, lambda2_minus_action,
     spinor_matrix,
 )
 
@@ -22,10 +21,10 @@ def _e(*I):
 def test_star_basics():
     vol = np.zeros(16)
     vol[VOL_INDEX] = 1.0
-    assert np.array_equal(hodge_star(_e()), vol)
-    assert np.array_equal(hodge_star(_e(1, 2)), _e(3, 4))
-    assert np.array_equal(hodge_star(_e(1, 3)), -_e(2, 4))
-    assert np.array_equal(hodge_star(_e(1, 4)), _e(2, 3))
+    assert np.array_equal(EXT4.star(_e()), vol)
+    assert np.array_equal(EXT4.star(_e(1, 2)), _e(3, 4))
+    assert np.array_equal(EXT4.star(_e(1, 3)), -_e(2, 4))
+    assert np.array_equal(EXT4.star(_e(1, 4)), _e(2, 3))
 
 
 def test_star_squares_to_parity_of_degree():
@@ -92,36 +91,33 @@ def test_wedge_graded_commutative():
             assert np.array_equal(EXT4.wedge(x, y), sgn * EXT4.wedge(y, x))
 
 
+def _sd_asd_split(x):
+    # the +1 and -1 star eigencomponents of a 2-form
+    sx = EXT4.star(x)
+    return (x + sx) / 2.0, (x - sx) / 2.0
+
+
 def test_sd_asd_split():
-    plus, minus = sd_asd_split(_e(1, 2))
+    plus, minus = _sd_asd_split(_e(1, 2))
     assert np.array_equal(plus, (_e(1, 2) + _e(3, 4)) / 2)
     assert np.array_equal(minus, (_e(1, 2) - _e(3, 4)) / 2)
     for v in LAMBDA2_PLUS:
-        p, m = sd_asd_split(v)
+        p, m = _sd_asd_split(v)
         assert np.array_equal(p, v) and not m.any()
         assert np.array_equal(EXT4.star(v), v)
     for v in LAMBDA2_MINUS:
-        p, m = sd_asd_split(v)
+        p, m = _sd_asd_split(v)
         assert np.array_equal(m, v) and not p.any()
         assert np.array_equal(EXT4.star(v), -v)
     assert np.linalg.matrix_rank(np.array(LAMBDA2_PLUS)) == 3
     assert np.linalg.matrix_rank(np.array(LAMBDA2_MINUS)) == 3
 
 
-def test_sd_asd_split_rejects_wrong_degree():
-    try:
-        sd_asd_split(_e(1))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected ValueError")
-
-
 def test_quotient_algebra_products():
     I8 = np.eye(8)
     assert np.array_equal(A_ALG.multiply(A_ALG.unit, I8[3]), I8[3])
     # e1 e2 = anti-self-dual part of e1^e2, read through the projection
-    oracle = A_ALG.from_form(sd_asd_split(_e(1, 2))[1])
+    oracle = A_ALG.projection @ _sd_asd_split(_e(1, 2))[1]
     assert np.allclose(A_ALG.multiply(I8[1], I8[2]), oracle, atol=0)
     for mu in range(4):
         assert not A_ALG.multiply(I8[1 + mu], I8[1 + mu]).any()
@@ -234,10 +230,17 @@ def test_spinor_one_form_map_invertible():
     assert np.linalg.matrix_rank(mats) == 4
 
 
+def _sym_coords(m):
+    return np.array([m[0, 0], m[0, 1] + m[1, 0], m[1, 1]])
+
+
 def test_spinor_contractions_split_the_eigenspaces():
-    # labels were measured once and are now part of the contract
-    assert SPIN.plus_variant == "cols"
-    assert SPIN.minus_variant == "rows"
+    # psi_plus is the column contraction and psi_minus the row one; each
+    # kills the other eigenspace and is invertible on its own
+    for basis, psi in ((LAMBDA2_PLUS, SPIN.psi_plus),
+                       (LAMBDA2_MINUS, SPIN.psi_minus)):
+        mats = np.array([_sym_coords(psi(v)) for v in basis])
+        assert np.linalg.matrix_rank(mats, tol=1e-9) == 3
     for v in LAMBDA2_MINUS:
         assert np.abs(SPIN.psi_plus(v)).max() == 0.0
         s = SPIN.psi_minus(v)
@@ -251,10 +254,23 @@ def test_spinor_contractions_split_the_eigenspaces():
 
 
 def test_spinor_action_matches_metric_action():
-    rep = spinor_intertwiner_report()
-    assert rep["variant"] == "eps_s"
-    assert abs(rep["scalar"] - (-0.25)) < 1e-13
-    assert rep["residual"] < 1e-13
+    # for every basis pair (B in Lambda^2_-, e_mu): psi1(B o e_mu) is
+    # -1/4 psi1(e_mu) EPS psi_minus(B); with EPS on the other side of
+    # psi_minus(B) no one scalar fits
+    worst, other = 0.0, []
+    for b in np.eye(3):
+        S = SPIN.psi_minus(sum(c * f for c, f in zip(b, LAMBDA2_MINUS)))
+        for mu in range(4):
+            e = np.eye(4)[mu]
+            acted = SPIN.psi1(np.r_[0.0, lambda2_minus_action(b, e),
+                                    np.zeros(11)])
+            M = SPIN.psi1(np.r_[0.0, e, np.zeros(11)])
+            worst = max(worst, np.abs(acted + 0.25 * M @ EPS @ S).max())
+            other.append((acted.ravel(), (M @ S @ EPS).ravel()))
+    assert worst < 1e-13
+    t, c = (np.concatenate(x) for x in zip(*other))
+    fit = np.vdot(c, t) / np.vdot(c, c)
+    assert np.abs(t - fit * c).max() > 0.1
 
 
 def test_metric_action_antisymmetric():

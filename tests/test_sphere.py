@@ -165,12 +165,16 @@ def test_dbar_matches_finite_differences():
     for n in (-3, 0, 2):
         m = build_model(n, levels=4)
         c = rng.standard_normal(m.dim0) + 1j * rng.standard_normal(m.dim0)
-        fx = (m.values(c, zs + h, 0, normalized=False)
-              - m.values(c, zs - h, 0, normalized=False)) / (2 * h)
-        fy = (m.values(c, zs + 1j * h, 0, normalized=False)
-              - m.values(c, zs - 1j * h, 0, normalized=False)) / (2 * h)
+
+        def raw(coeffs, z, degree):
+            # chart values without the bounding factor D^-extra
+            return m.values(coeffs, z, degree) * (1.0 + np.abs(z) ** 2) ** (
+                m.normalized_extra(degree))
+
+        fx = (raw(c, zs + h, 0) - raw(c, zs - h, 0)) / (2 * h)
+        fy = (raw(c, zs + 1j * h, 0) - raw(c, zs - 1j * h, 0)) / (2 * h)
         want = 0.5 * (fx + 1j * fy)
-        got = m.values(_blocks(m)[0] @ c, zs, 1, normalized=False)
+        got = raw(_blocks(m)[0] @ c, zs, 1)
         assert np.abs(want - got).max() < 1e-6 * max(1.0, np.abs(want).max())
 
 
@@ -198,19 +202,21 @@ def test_grid_projection_recovers_coefficients():
                 continue
             c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vals = m.values(c, GRID.z, degree)
-            back = m.grid_project(vals, GRID, degree)
+            v, wfac = m.grid_data(GRID, degree)
+            back = v.conj() @ (wfac * vals)
             assert np.abs(back - c).max() < 1e-11 * np.abs(c).max()
 
 
 def test_harmonics_are_cohomology_representatives():
-    from twistorbf.graded import cohomology
     m = build_model(-4, levels=4)
-    out = cohomology(m.dbar_total, gram=np.eye(m.dim0 + m.dim1))
-    reps = out["representatives"][1]
-    assert reps.shape[1] == 3
-    # representatives live purely in the harmonic slots
-    tail = reps[m.dim0 + m.n_harm1:, :]
-    assert np.abs(tail).max() < 1e-10
+    forms = np.arange(m.dim0, m.dim0 + m.dim1)
+    harm, img = forms[:m.n_harm1], forms[m.n_harm1:]
+    assert len(harm) == m.serre_dims()[1] == 3
+    # no section maps onto a harmonic slot, so the harmonic forms are not
+    # exact, and P keeps exactly them; every other form is an image
+    assert not m.dbar.val[harm].any() and m.dbar.val[img].all()
+    assert np.array_equal(m.proj.col[harm], harm)
+    assert np.all(m.proj.val[harm] == 1.0) and not m.proj.val[img].any()
 
 
 def test_rotation_preserves_inner_products():
@@ -226,9 +232,10 @@ def test_rotation_preserves_inner_products():
             g = Mobius.random(rng)
             v1 = m.rotate_values(g, GRID.z, c1, degree)
             v2 = m.rotate_values(g, GRID.z, c2, degree)
-            before = m.grid_inner(m.values(c1, GRID.z, degree),
-                                  m.values(c2, GRID.z, degree), GRID, degree)
-            after = m.grid_inner(v1, v2, GRID, degree)
+            wfac = m.grid_weights(GRID, degree)
+            before = np.sum(wfac * m.values(c1, GRID.z, degree)
+                            * np.conj(m.values(c2, GRID.z, degree)))
+            after = np.sum(wfac * v1 * np.conj(v2))
             assert abs(after - before) < 1e-11 * max(1.0, abs(before))
 
 
@@ -282,7 +289,7 @@ def test_operators_match_level_weight_pairing():
     for n in range(-8, 9):
         m = build_model(n, abs(n) + 4)
         pos = {(p, w): i for i, (p, w) in
-               enumerate(zip(m.src_level1, m.weights1)) if p >= 0}
+               enumerate(zip(m.src_level1, m.weights1 - 1)) if p >= 0}
         d = np.zeros((m.dim1, m.dim0))
         h = np.zeros((m.dim0, m.dim1))
         for i0, (p, w) in enumerate(zip(m.level0, m.weights0)):
@@ -377,9 +384,10 @@ def test_grid_cache_survives_grid_turnover():
 
 @pytest.mark.parametrize("n", [-4, 0, 3])
 def test_weight_bookkeeping(n):
-    # weights1 records the source section's weight: an image form's
-    # coefficient (d/dzbar of the section) carries one more
+    # weights0 and weights1 hold RadialFun.weight; an image form's
+    # coefficient (d/dzbar of its section) carries one more than the section
     m = build_model(n, levels=4)
     assert [f.weight for f in m.funs0] == list(m.weights0)
-    assert ([f.weight for f in m.funs1]
-            == list(m.weights1 + (m.src_level1 >= 0)))
+    assert [f.weight for f in m.funs1] == list(m.weights1)
+    for i0, i1 in m._image_pairs:
+        assert m.weights1[i1] == m.weights0[i0] + 1
