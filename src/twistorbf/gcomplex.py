@@ -131,6 +131,13 @@ def _block_specs(extended):
             (2, 0, 0, 3, "sym2")]
 
 
+# each part with its ext-0 twist (the ideal side is twisted by -4), and the
+# (twist, multiplicity) of the plain complex's six blocks in layout order
+_PARTS = (("w", -4), ("o", 0))
+PLAIN_BLOCKS = tuple((base + dt, mult) for _, base in _PARTS
+                     for _, _, dt, mult, _ in _block_specs(False))
+
+
 # The maps of the tautological sequences, one entry per resolution column:
 # (map, ext, pattern).  "iota" sends the column (ext, hom -1) into
 # (ext, hom 0); "eps" sends (ext, hom 0) onto the quotient's ext block.  A
@@ -275,8 +282,7 @@ class GComplex:
         # integrals that multiply fewer than three chart functions
         self._unit = (np.ones((1, self.radial.n_nodes)), np.zeros(1, int))
         self.blocks = []
-        for part in ("w", "o"):
-            base = -4 if part == "w" else 0
+        for part, base in _PARTS:
             for ext, hom, dt, mult, label in _block_specs(extended):
                 model = self._model(base + dt, self._levels(part, ext, hom))
                 self.blocks.append(GBlock(part, ext, hom, model, mult, label))

@@ -40,6 +40,7 @@ import math
 
 import numpy as np
 
+from .gcomplex import PLAIN_BLOCKS
 from .radial import SphereGrid
 # Mobius is defined with the line bundle models and re-exported here
 from .sphere import LineBundleModel, Mobius
@@ -85,18 +86,14 @@ def kernel_weighted(n, z1, z2, dz=None):
     return out
 
 
-G_KERNEL_TWISTS = (-4, -3, -2, 0, 1, 2)
-G_KERNEL_MULTIPLICITY = {-4: 1, -3: 2, -2: 1, 0: 1, 1: 2, 2: 1}
-
-
 def kernel_hG(z1, z2):
-    """The six-block kernel: (twist, doublet multiplicity, value) triples.
+    """The six-block kernel: (twist, doublet multiplicity, value) triples,
+    over the plain complex's blocks (`gcomplex.PLAIN_BLOCKS`).
 
     The doublet blocks (twists -3 and 1) carry an identity factor on their
     two-dimensional index, recorded here as multiplicity 2.
     """
-    return [(n, G_KERNEL_MULTIPLICITY[n], kernel_h(n, z1, z2))
-            for n in G_KERNEL_TWISTS]
+    return [(n, mult, kernel_h(n, z1, z2)) for n, mult in PLAIN_BLOCKS]
 
 
 def check_invariance(n, g, z1, z2):

@@ -23,7 +23,6 @@ import numpy as np
 from .graded import (BigradedSpace, Gather, Pairing, exterior_algebra,
                      koszul_sign)
 from .radial import hermitian_inner, monomial
-from .sphere import build_model
 
 _MASKS, _WEDGE = exterior_algebra(4)
 SUBSETS = tuple(tuple(b + 1 for b in range(4) if m >> b & 1) for m in _MASKS)
@@ -272,59 +271,32 @@ def lambda2_minus_action(b_coords, v_coords):
 
 # ---------------------------------------------------------------------------
 # identification of the cyclic hull with the cohomology of the sphere
-# complex: dimensions per degree, and the product on the degree-one part.
-
-_O_PART = ((0, 1, 0), (1, 2, 1), (2, 1, 2))       # (twist, multiplicity, degree)
-_W_PART = ((-4, 1, 1), (-3, 2, 2), (-2, 1, 3))
-
-
-def _section_product_coeffs(model1, model2):
-    """Exact expansion of products of twist-1 holomorphic sections in twist 2.
-
-    Returns P[a, b, c] with s_a s_b = sum_c P[a,b,c] t_c, computed with the
-    closed-form integrals (no grids), where s runs over the level-0 basis of
-    the twist-1 model and t over the level-0 basis of the twist-2 model.
-    """
-    s_funs = [model1.funs0[i] for i in range(model1.dim0)
-              if model1.level0[i] == 0]
-    t_funs = [model2.funs0[i] for i in range(model2.dim0)
-              if model2.level0[i] == 0]
-    P = np.zeros((len(s_funs), len(s_funs), len(t_funs)), dtype=complex)
-    for a, fa in enumerate(s_funs):
-        for b, fb in enumerate(s_funs):
-            prod = fa.mul(fb)
-            for c, tc in enumerate(t_funs):
-                P[a, b, c] = hermitian_inner(prod, tc, model2.n + 2)
-            # products of level-0 sections must stay in the level-0 sector
-            norm2 = hermitian_inner(prod, prod, model2.n + 2).real
-            if abs(norm2 - np.abs(P[a, b]).dot(np.abs(P[a, b]))) > 1e-12:
-                raise RuntimeError("section product leaked out of H0")
-    return P, s_funs, t_funs
+# complex, read off its minimal model: the harmonics of the contraction
+# carry the cohomology, and the transferred m2 on them is the cohomology
+# product (Loday-Vallette, Algebraic Operads, 2012, section 10.3).
 
 
-def check_u_cohomology_iso(truncation=12):
+def check_u_cohomology_iso(tb):
     """Dimension and product match between the cyclic hull and cohomology.
 
-    Builds the six line bundle models entering the graded pieces, checks the
-    graded dimensions (1,4,3) on the holomorphic side and (3,4,1) on the
-    dual-twist side against the hull, then compares the induced product of
-    two degree-one classes with the quotient-algebra product of 1-forms up
-    to an invertible change of basis, fitted to 1e-9 of the products' size.
-    Dimension mismatches raise: they mean a wiring bug, not a numerical
-    issue.
+    tb is the `Transferred` structure of the plain complex's contraction.
+    Counts its harmonics per reduced degree on the holomorphic ("o") and
+    the dual-twist ("w") blocks, (1,4,3) and (3,4,1) against the hull,
+    then compares the transferred product of two degree-one classes with
+    the quotient-algebra product of 1-forms up to an invertible change of
+    basis, fitted to 1e-9 of the products' size.  Dimension mismatches
+    raise: they mean a wiring bug, not a numerical issue.
     """
-    o_dims = {}
-    for n, mult, deg in _O_PART:
-        h0, h1 = build_model(n, truncation).serre_dims()
-        if h1 != 0:
-            raise RuntimeError("unexpected H1 for twist %d" % n)
-        o_dims[deg] = o_dims.get(deg, 0) + mult * h0
-    w_dims = {}
-    for n, mult, deg in _W_PART:
-        h0, h1 = build_model(n, truncation).serre_dims()
-        if h0 != 0:
-            raise RuntimeError("unexpected H0 for twist %d" % n)
-        w_dims[deg] = w_dims.get(deg, 0) + mult * h1
+    con = tb.con
+    g = con.algebra
+    # the block of each harmonic, read off the complex's layout
+    owner = np.empty(g.dim, dtype=int)
+    for (bi, q), start in g.offsets.items():
+        owner[start:start + g.blocks[bi].dim(q)] = bi
+    blocks = [g.blocks[bi] for bi in owner[con.harm_index]]
+    parts = np.array([b.part for b in blocks])
+    o_dims, w_dims = ({int(r): int(k) for r, k in zip(*np.unique(
+        con.harm_degrees[parts == p], return_counts=True))} for p in "ow")
     if (o_dims != {0: 1, 1: 4, 2: 3}) or (w_dims != {1: 3, 2: 4, 3: 1}):
         raise RuntimeError("graded dimensions off: %r / %r"
                            % (o_dims, w_dims))
@@ -332,34 +304,28 @@ def check_u_cohomology_iso(truncation=12):
     if total != U_ALG.reduced_dims():
         raise RuntimeError("hull dimensions off: %r" % total)
 
-    # product side: degree-one classes form W+ (x) H0(O(1)); two of them
-    # multiply through the odd generators, contracting W+ with EPS and
-    # multiplying sections pointwise
-    m1 = build_model(1, truncation)
-    m2 = build_model(2, truncation)
-    P, s_funs, t_funs = _section_product_coeffs(m1, m2)
-    ns = len(s_funs)
-    nt = len(t_funs)
+    # product side: degree-one classes form W+ (x) H0(O(1)), the harmonics
+    # of the ("o", ext 1) doublet block, index (alpha, section); m2 takes
+    # two of them to the ("o", ext 2) block's harmonics
+    d, t = (np.flatnonzero([(b.part, b.ext) == ("o", ext) for b in blocks])
+            for ext in (1, 2))
+    model = blocks[d[0]].model
 
     # spinor route into the doublet: 1-form -> matrix rows W+, columns W-;
     # W- basis maps to sections -z, 1, expanded exactly in the model basis
-    sig = np.zeros((ns, 2), dtype=complex)
-    for i, f in enumerate(s_funs):
-        sig[i, 0] = -hermitian_inner(monomial(1, 0), f, m1.n + 2)
-        sig[i, 1] = hermitian_inner(monomial(0, 0), f, m1.n + 2)
-    S = np.zeros((2, ns, 4), dtype=complex)   # W+ index, section index, mu
-    for mu in range(4):
-        S[:, :, mu] = _SPIN1[mu] @ sig.T
+    s_funs = [model.funs0[i] for i in range(model.dim0)
+              if model.level0[i] == 0]
+    sig = np.array([[-hermitian_inner(monomial(1, 0), f, model.n + 2),
+                     hermitian_inner(monomial(0, 0), f, model.n + 2)]
+                    for f in s_funs])
+    S = np.stack([m @ sig.T for m in _SPIN1], axis=-1).reshape(len(d), 4)
 
-    b_pairs = np.einsum("aim,bjn,ab,ijc->mnc", S, S, EPS, P)
-    a_pairs = np.zeros((4, 4, 3))
-    for mu in range(4):
-        for nu in range(4):
-            a_pairs[mu, nu] = A_ALG.multiply(np.eye(8)[1 + mu],
-                                             np.eye(8)[1 + nu])[5:]
+    b_pairs = np.einsum("pm,qn,pqc->mnc", S, S, tb.m[2][np.ix_(d, d, t)])
+    # the quotient algebra's products of the 1-forms e_mu, in Lambda^2_-
+    a_pairs = A_ALG.structure[1:5, 1:5, 5:]
 
     flatA = a_pairs.reshape(16, 3)
-    flatB = b_pairs.reshape(16, nt)
+    flatB = b_pairs.reshape(16, len(t))
     rank = int(np.linalg.matrix_rank(flatB, tol=1e-9))
     Tt, _, _, _ = np.linalg.lstsq(flatA, flatB, rcond=None)
     resid = float(np.abs(flatA @ Tt - flatB).max())

@@ -39,8 +39,6 @@ from itertools import combinations, permutations
 from .graded import (Gather, Stack, chain_identity_residual,
                      exterior_algebra, koszul_sign_permutation,
                      rank_by_components, support_max)
-from .gcomplex import GComplex
-from .sphere import LineBundleModel
 
 __all__ = [
     "DenseAlgebra", "heisenberg_dga", "Contraction", "build_contraction",
@@ -206,20 +204,14 @@ class Contraction:
 
 
 def build_contraction(source, tol=1e-8):
-    """Contraction of either the sheaf complex or a single line bundle."""
-    if isinstance(source, GComplex):
-        pairing = None if source.extended else source.pairing_matrix().matrix
-        return Contraction(source, source.dbar, source.hom, source.proj,
-                           source.space.reduced_degrees(),
-                           pairing=pairing, tol=tol,
-                           label="sheaf L=%d%s" % (
-                               source.truncation,
-                               " ext" if source.extended else ""))
-    if isinstance(source, LineBundleModel):
-        return Contraction(None, source.dbar, source.hom, source.proj,
-                           source.total_space.reduced_degrees(),
-                           tol=tol, label="O(%d)" % source.n)
-    raise TypeError("no contraction recipe for %r" % type(source))
+    """Contraction of the sheaf complex onto its harmonics."""
+    pairing = None if source.extended else source.pairing_matrix().matrix
+    return Contraction(source, source.dbar, source.hom, source.proj,
+                       source.space.reduced_degrees(),
+                       pairing=pairing, tol=tol,
+                       label="sheaf L=%d%s" % (
+                           source.truncation,
+                           " ext" if source.extended else ""))
 
 
 # -- planar recursion -------------------------------------------------------

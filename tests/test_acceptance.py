@@ -3,14 +3,15 @@
 Each criterion asserts on the check records of the suites behind the
 command line driver (`twistorbf.suites`), so the gate and the CLI run one
 copy of each check.  Each test prints one summary line; the order-64
-kernel quadratures and the 20-probe master equation run are module-scoped
-fixtures.
+kernel quadratures, the objects the htt parts read and the 20-probe master
+equation run are module-scoped fixtures.
 """
 
 import time
 
 import pytest
 
+from twistorbf.gcomplex import GComplex
 from twistorbf.suites import (
     SuiteConfig,
     htt_exactness,
@@ -22,6 +23,7 @@ from twistorbf.suites import (
     suite_invariance,
     suite_kernel,
 )
+from twistorbf.transfer import build_contraction, transfer
 
 
 def _line(num, label, ok, detail=""):
@@ -45,6 +47,16 @@ def _failing(checks, bound):
 @pytest.fixture(scope="module")
 def kernel_checks():
     return suite_kernel(SuiteConfig(suite="kernel"))
+
+
+@pytest.fixture(scope="module")
+def htt():
+    """The objects the htt suite's parts read at its default truncation
+    12: the extended complex, and the transfer of the plain complex's
+    contraction at min(12, 6)."""
+    cfg = SuiteConfig(suite="htt")
+    return (cfg, GComplex(12, extended=True),
+            transfer(build_contraction(GComplex(6)), max_arity=cfg.max_arity))
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +124,8 @@ def test_criterion_05_holomorphy(kernel_checks):
     assert worst < 1e-7
 
 
-def test_criterion_06_side_conditions():
-    named = _named(htt_side_conditions(SuiteConfig(suite="htt")))
+def test_criterion_06_side_conditions(htt):
+    named = _named(htt_side_conditions(htt[1]))
     r_sq = named["homotopy-squares-to-zero"]["residual"]
     r_orth = named["homotopy-orthogonal-to-harmonics"]["residual"]
     r_adj = named["homotopy-pairing-adjointness"]["residual"]
@@ -130,8 +142,8 @@ def test_criterion_06_side_conditions():
     assert r_one < 1e-12
 
 
-def test_criterion_07_hull_cohomology_match():
-    named = _named(htt_hull(SuiteConfig(suite="htt")))
+def test_criterion_07_hull_cohomology_match(htt):
+    named = _named(htt_hull(htt[2]))
     dims = named["hull-graded-dimensions"]
     rank = named["hull-product-rank"]["product_rank"]
     match = named["hull-product-match"]["residual"]
@@ -147,9 +159,10 @@ def test_criterion_07_hull_cohomology_match():
     assert verdict == 0
 
 
-def test_criterion_08_homotopy_transfer():
+def test_criterion_08_homotopy_transfer(htt):
+    cfg, _, tb = htt
     start = time.time()
-    named = _named(htt_transfer(SuiteConfig(suite="htt")))
+    named = _named(htt_transfer(cfg, tb))
     elapsed = time.time() - start
     nharm_miss = named["harmonic-count"]["residual"]
     r_rel = named["transfer-jacobi-relations"]["residual"]
@@ -180,8 +193,8 @@ def test_criterion_09_master_equation(bv_checks):
     assert r_cyc < 1e-12
 
 
-def test_criterion_10_exactness_and_insertion():
-    checks = htt_exactness(SuiteConfig(suite="htt"))
+def test_criterion_10_exactness_and_insertion(htt):
+    checks = htt_exactness(htt[0], htt[1])
     ranks = _by_prefix(checks, "short-sequence-ranks")
     comp = _by_prefix(checks, "short-sequence-composition")
     dd = _by_prefix(checks, "insertion-squares-to-zero")

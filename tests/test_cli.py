@@ -3,7 +3,12 @@ import json
 import pytest
 
 from twistorbf.cli import main
-from twistorbf.suites import HTT_PARTS, SuiteConfig, run_suite
+from twistorbf.gcomplex import GComplex
+from twistorbf.sphere import LineBundleModel
+from twistorbf.suites import (SuiteConfig, htt_exactness, htt_hull,
+                              htt_side_conditions, htt_transfer, run_suite,
+                              suite_htt)
+from twistorbf.transfer import build_contraction, transfer
 
 
 def run_cli(capsys, *args):
@@ -131,6 +136,19 @@ def test_truncation_below_the_suite_is_usage_error(suite, low, need, capsys):
     SuiteConfig(suite=suite, truncation=need).validate()
 
 
+@pytest.mark.parametrize("suite", ["htt", "bv", "all"])
+def test_rank_one_is_usage_error_where_rank_is_read(suite, capsys):
+    # with scalar or rank-1 coefficients the graded-commutative brackets
+    # and a.a cancel to roundoff: htt failed transfer-cyclic-compatibility
+    # at 1.0 and bv master-equation at 0.1, each with exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", suite, "--rank", "1"])
+    assert exc.value.code == 2
+    assert "needs rank >= 2" in capsys.readouterr().err
+    SuiteConfig(suite=suite, rank=2).validate()
+    SuiteConfig(suite="cohomology", rank=1).validate()
+
+
 def test_reports_identical_across_runs(capsys):
     _, rep1 = run_cli(capsys, "--suite", "cohomology", "--n-range=-3..3")
     _, rep2 = run_cli(capsys, "--suite", "cohomology", "--n-range=-3..3")
@@ -201,5 +219,40 @@ def test_htt_suite_matches_its_parts(capsys):
         "transfer-cohomology-iso", "transfer-cyclic-compatibility",
     } <= names
     cfg = SuiteConfig(suite="htt", truncation=5)
-    parts = [c for part in HTT_PARTS for c in part(cfg)]
+    ge = GComplex(5, extended=True)
+    tb = transfer(build_contraction(GComplex(5)), max_arity=cfg.max_arity)
+    parts = (htt_side_conditions(ge) + htt_exactness(cfg, ge) + htt_hull(tb)
+             + htt_transfer(cfg, tb))
     assert rep["checks"] == json.loads(json.dumps(parts))
+
+
+def test_htt_suite_builds_each_object_once(monkeypatch):
+    # one extended complex at the suite truncation, shared by the side
+    # conditions and the exactness ladder, and every line bundle model
+    # built by a complex: the hull check reads the transfer's harmonics
+    built, inside, outside = [], [0], [0]
+    init, model, lb_init = (GComplex.__init__, GComplex._model,
+                            LineBundleModel.__init__)
+
+    def counting_init(self, truncation=12, extended=False):
+        built.append((truncation, extended))
+        init(self, truncation, extended)
+
+    def counting_model(self, n, levels):
+        inside[0] += 1
+        try:
+            return model(self, n, levels)
+        finally:
+            inside[0] -= 1
+
+    def counting_lb_init(self, *args, **kwargs):
+        outside[0] += not inside[0]
+        lb_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GComplex, "__init__", counting_init)
+    monkeypatch.setattr(GComplex, "_model", counting_model)
+    monkeypatch.setattr(LineBundleModel, "__init__", counting_lb_init)
+    checks = suite_htt(SuiteConfig(suite="htt"))
+    assert all(c["pass"] for c in checks)
+    assert built.count((12, True)) == 1
+    assert outside[0] == 0

@@ -657,8 +657,9 @@ def test_htt_checks_read_no_dense_insertion(monkeypatch):
     with pytest.raises(AssertionError, match="dense d_iota read"):
         GComplex(5, extended=True).d_iota_signed
     cfg = SuiteConfig(suite="htt", truncation=5)
-    for part in (htt_side_conditions, htt_exactness):
-        assert all(c["pass"] for c in part(cfg))
+    ge = GComplex(5, extended=True)
+    assert all(c["pass"] for c in htt_side_conditions(ge)
+               + htt_exactness(cfg, ge))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
@@ -668,8 +669,9 @@ def test_side_conditions_stay_small_at_truncation_12():
     # starts at its parent's peak (Linux keeps the high-water mark across
     # fork and exec), so the child reads its own address space's peak,
     # VmHWM; one BLAS thread keeps thread buffers out of it
-    code = ("from twistorbf.suites import SuiteConfig, htt_side_conditions\n"
-            "checks = htt_side_conditions(SuiteConfig(truncation=12))\n"
+    code = ("from twistorbf.gcomplex import GComplex\n"
+            "from twistorbf.suites import htt_side_conditions\n"
+            "checks = htt_side_conditions(GComplex(12, extended=True))\n"
             "assert all(c['pass'] for c in checks)\n"
             "print(open('/proc/self/status').read())\n")
     src = os.path.join(os.path.dirname(os.path.dirname(

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from twistorbf.gcomplex import PLAIN_BLOCKS
 from twistorbf.kernels import (
-    G_KERNEL_TWISTS,
     KernelHomotopy,
     Mobius,
     bump,
@@ -383,8 +383,9 @@ def test_kernel_matrix_stays_small():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(n=st.sampled_from(G_KERNEL_TWISTS), r=st.floats(0.05, 20.0),
-       theta=st.floats(0.0, 2 * math.pi), s=st.integers(-100, 100))
+@given(n=st.sampled_from([n for n, _ in PLAIN_BLOCKS]),
+       r=st.floats(0.05, 20.0), theta=st.floats(0.0, 2 * math.pi),
+       s=st.integers(-100, 100))
 def test_ring_rotation_phase_rule(n, r, theta, s):
     # rotating the target by a step of the block's angular grid permutes
     # that grid; the kernel turns by e^(-i alpha), form f by e^(i w_f alpha)

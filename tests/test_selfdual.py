@@ -4,14 +4,23 @@ Everything here is exact arithmetic, so the assertions are equalities (or
 1e-12 where a sqrt or lstsq is involved), not tolerances.
 """
 
-import numpy as np
+import copy
 
+import numpy as np
+import pytest
+
+from twistorbf import selfdual
+from twistorbf.gcomplex import GComplex
 from twistorbf.graded import exterior_algebra, koszul_sign, merge_sign
+from twistorbf.radial import hermitian_inner
 from twistorbf.selfdual import (
     A_ALG, EPS, EXT4, LAMBDA2_MINUS, LAMBDA2_PLUS, SPIN, SUB_INDEX, SUBSETS,
     U_ALG, VOL_INDEX, check_u_cohomology_iso, lambda2_minus_action,
     spinor_matrix,
 )
+from twistorbf.sphere import build_model
+from twistorbf.suites import htt_hull
+from twistorbf.transfer import build_contraction, transfer
 
 
 def _e(*I):
@@ -283,8 +292,15 @@ def test_metric_action_antisymmetric():
         assert abs((out @ v).real) < 1e-12
 
 
-def test_u_cohomology_identification():
-    rep = check_u_cohomology_iso(truncation=8)
+@pytest.fixture(scope="module")
+def tb():
+    # the transfer the htt suite's hull records read at its default
+    # truncation, min(12, 6)
+    return transfer(build_contraction(GComplex(6)), max_arity=2)
+
+
+def test_u_cohomology_identification(tb):
+    rep = check_u_cohomology_iso(tb)
     assert rep["pass"]
     assert rep["o_dims"] == {0: 1, 1: 4, 2: 3}
     assert rep["w_dims"] == {1: 3, 2: 4, 3: 1}
@@ -292,3 +308,55 @@ def test_u_cohomology_identification():
     assert rep["product_rank"] == 3
     assert rep["basis_change_residual"] < 1e-10
     assert rep["basis_change_condition"] < 1e3
+
+
+def section_product_coeffs(model1, model2):
+    """Exact expansion of products of twist-1 holomorphic sections in twist 2.
+
+    Returns P[a, b, c] with s_a s_b = sum_c P[a,b,c] t_c, computed with the
+    closed-form integrals (no grids), where s runs over the level-0 basis of
+    the twist-1 model and t over the level-0 basis of the twist-2 model.
+    """
+    s_funs = [model1.funs0[i] for i in range(model1.dim0)
+              if model1.level0[i] == 0]
+    t_funs = [model2.funs0[i] for i in range(model2.dim0)
+              if model2.level0[i] == 0]
+    P = np.zeros((len(s_funs), len(s_funs), len(t_funs)), dtype=complex)
+    for a, fa in enumerate(s_funs):
+        for b, fb in enumerate(s_funs):
+            prod = fa.mul(fb)
+            for c, tc in enumerate(t_funs):
+                P[a, b, c] = hermitian_inner(prod, tc, model2.n + 2)
+            # products of level-0 sections must stay in the level-0 sector
+            norm2 = hermitian_inner(prod, prod, model2.n + 2).real
+            assert abs(norm2 - np.abs(P[a, b]).dot(np.abs(P[a, b]))) < 1e-12
+    return P
+
+
+def test_transferred_degree_one_product_matches_section_products(tb):
+    # the doublet harmonics, index (alpha, section), multiply by the
+    # symplectic form on alpha times the product of the sections
+    g, con = tb.con.algebra, tb.con
+    d, t = (np.flatnonzero(np.isin(con.harm_index, np.arange(g.dim)[
+        g.block_slice(g._find_block(ext, 0, "o"), 0)])) for ext in (1, 2))
+    assert (len(d), len(t)) == (4, 3)
+    P = section_product_coeffs(build_model(1, 12), build_model(2, 12))
+    want = np.einsum("ab,ijc->aibjc", EPS, P).reshape(4, 4, 3)
+    block = tb.m[2][np.ix_(d, d)]
+    assert np.abs(block[:, :, t] - want).max() <= 1e-13 * np.abs(want).max()
+    assert not np.delete(block, t, axis=2).any()
+
+
+def test_hull_product_match_sees_a_flipped_product_entry(tb, monkeypatch):
+    named = {c["name"]: c for c in htt_hull(tb)}
+    assert named["hull-product-match"]["pass"]
+    # e1 e2 -> its anti-self-dual part: breaks the antisymmetry that the
+    # transferred product of two degree-one classes has
+    bad = copy.copy(A_ALG)
+    bad.structure = A_ALG.structure.copy()
+    assert bad.structure[1, 2, 5] == 0.5
+    bad.structure[1, 2, 5] = -0.5
+    monkeypatch.setattr(selfdual, "A_ALG", bad)
+    named = {c["name"]: c for c in htt_hull(tb)}
+    assert not named["hull-product-match"]["pass"]
+    assert not named["hull-basis-change-invertible"]["pass"]

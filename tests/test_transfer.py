@@ -152,16 +152,22 @@ class TestToy:
                         self.degs)
 
 
+def _line_bundle_contraction(n, levels):
+    m = build_model(n, levels)
+    return Contraction(None, m.dbar, m.hom, m.proj,
+                       m.total_space.reduced_degrees())
+
+
 class TestLineBundles:
     def test_negative_twist_has_no_harmonics(self):
-        con = build_contraction(build_model(-1, 5))
+        con = _line_bundle_contraction(-1, 5)
         assert con.nharm == 0
         r = quasi_iso_linear(con)
         assert r["dim_h_source"] == r["dim_h_target"] == 0
         assert r["isomorphism"]
 
     def test_twist_minus_three(self):
-        con = build_contraction(build_model(-3, 6))
+        con = _line_bundle_contraction(-3, 6)
         assert con.nharm == 2
         assert (con.harm_degrees == 1).all()
 
