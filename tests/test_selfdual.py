@@ -1,7 +1,9 @@
 """Exhaustive checks of the exterior algebra quotient and its cyclic hull.
 
 Everything here is exact arithmetic, so the assertions are equalities (or
-1e-12 where a sqrt or lstsq is involved), not tolerances.
+1e-12 where a sqrt or lstsq is involved), not tolerances.  The hull's
+cohomology match reads the transfer of GComplex(6); its degree-one product
+is checked against the closed-form section products to 1e-13.
 """
 
 import copy
