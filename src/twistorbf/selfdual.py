@@ -287,16 +287,15 @@ def check_u_cohomology_iso(tb):
     basis, fitted to 1e-9 of the products' size.  Dimension mismatches
     raise: they mean a wiring bug, not a numerical issue.
     """
-    con = tb.con
-    g = con.algebra
-    # the block of each harmonic, read off the complex's layout
-    owner = np.empty(g.dim, dtype=int)
-    for (bi, q), start in g.offsets.items():
-        owner[start:start + g.blocks[bi].dim(q)] = bi
-    blocks = [g.blocks[bi] for bi in owner[con.harm_index]]
-    parts = np.array([b.part for b in blocks])
+    con, g = tb.con, tb.con.algebra
+    # which harmonics lie on each block of the complex's layout
+    on = [np.isin(con.harm_index, np.r_[g.block_slice(bi, 0),
+                                         g.block_slice(bi, 1)])
+          for bi in range(len(g.blocks))]
     o_dims, w_dims = ({int(r): int(k) for r, k in zip(*np.unique(
-        con.harm_degrees[parts == p], return_counts=True))} for p in "ow")
+        con.harm_degrees[np.any([m for m, b in zip(on, g.blocks)
+                                 if b.part == p], axis=0)],
+        return_counts=True))} for p in "ow")
     if (o_dims != {0: 1, 1: 4, 2: 3}) or (w_dims != {1: 3, 2: 4, 3: 1}):
         raise RuntimeError("graded dimensions off: %r / %r"
                            % (o_dims, w_dims))
@@ -307,9 +306,8 @@ def check_u_cohomology_iso(tb):
     # product side: degree-one classes form W+ (x) H0(O(1)), the harmonics
     # of the ("o", ext 1) doublet block, index (alpha, section); m2 takes
     # two of them to the ("o", ext 2) block's harmonics
-    d, t = (np.flatnonzero([(b.part, b.ext) == ("o", ext) for b in blocks])
-            for ext in (1, 2))
-    model = blocks[d[0]].model
+    d, t = (np.flatnonzero(on[g._find_block(ext, 0, "o")]) for ext in (1, 2))
+    model = g.blocks[g._find_block(1, 0, "o")].model
 
     # spinor route into the doublet: 1-form -> matrix rows W+, columns W-;
     # W- basis maps to sections -z, 1, expanded exactly in the model basis

@@ -10,10 +10,10 @@ Per-suite defaults follow the modules: spectral truncation 12, quadrature
 order 64, transfer and field-theory checks at truncation 6, matrix rank 2.
 A config field left at None means "use the suite default".
 
-The htt suite builds each object its four parts read once, the extended
-complex at the suite truncation L and the transfer of the plain complex's
-contraction at min(L, 6), and concatenates the parts' records; the acceptance
-gate builds the same objects and asserts on each part's records.
+The htt suite builds each object its parts read once, the extended complex
+at the suite truncation L (freed before the smaller exactness rungs) and the
+transfer of the plain complex's contraction at min(L, 6); the acceptance gate
+builds the same objects and asserts on each part's records.
 """
 
 import math
@@ -280,39 +280,40 @@ def htt_side_conditions(ge):
     return checks
 
 
-def htt_exactness(cfg, ge):
+def exactness_rung(cfg, gt):
     """Exactness of the tautological sequences and the insertion
-    differential on the ladder 5..8, plus the suite truncation itself,
-    whose rung is the extended complex ge."""
-    L = ge.truncation
-    checks = []
-    for trunc in list(range(5, min(L, 8) + 1)) + ([L] if L > 8 else []):
-        gt = ge if trunc == L else GComplex(trunc, extended=True)
-        rows = gt.exactness_report()
-        bad = sum(1 for r in rows if not r["exact"])
-        comp = max(r["compose_residual"] for r in rows)
-        D, ins = gt.iota_blocks, gt.insertion
-        checks.append(_check("short-sequence-ranks-L%d" % trunc,
-                             "ideal-quotient-exactness", bad, 0.0,
-                             exact=True))
-        checks.append(_check("short-sequence-composition-L%d" % trunc,
-                             "ideal-quotient-exactness", comp, 1e-12))
-        checks.append(_check("insertion-squares-to-zero-L%d" % trunc,
-                             "insertion-differential",
-                             _blocks_max(_block_product(D, D)), 0.0,
-                             exact=True))
-        rng = np.random.default_rng(cfg.seed + trunc)
-        x = gt.random_vector(rng, max_level=0)
-        y = gt.random_vector(rng, max_level=0)
-        s = np.where(gt.space.reduced_degrees() % 2, -1.0, 1.0)
-        lhs = ins(gt.product_apply(x, y))
-        rhs = gt.product_apply(ins(x), y) + gt.product_apply(s * x, ins(y))
-        checks.append(_check("insertion-leibniz-L%d" % trunc,
-                             "insertion-differential",
-                             np.abs(lhs - rhs).max(), 1e-12))
-        # free this rung before the next one is built
-        del gt, D, ins
+    differential on one rung of the ladder, the extended complex gt."""
+    trunc = gt.truncation
+    rows = gt.exactness_report()
+    bad = sum(1 for r in rows if not r["exact"])
+    comp = max(r["compose_residual"] for r in rows)
+    D, ins = gt.iota_blocks, gt.insertion
+    checks = [
+        _check("short-sequence-ranks-L%d" % trunc,
+               "ideal-quotient-exactness", bad, 0.0, exact=True),
+        _check("short-sequence-composition-L%d" % trunc,
+               "ideal-quotient-exactness", comp, 1e-12),
+        _check("insertion-squares-to-zero-L%d" % trunc,
+               "insertion-differential", _blocks_max(_block_product(D, D)),
+               0.0, exact=True)]
+    rng = np.random.default_rng(cfg.seed + trunc)
+    x = gt.random_vector(rng, max_level=0)
+    y = gt.random_vector(rng, max_level=0)
+    s = np.where(gt.space.reduced_degrees() % 2, -1.0, 1.0)
+    lhs = ins(gt.product_apply(x, y))
+    rhs = gt.product_apply(ins(x), y) + gt.product_apply(s * x, ins(y))
+    checks.append(_check("insertion-leibniz-L%d" % trunc,
+                         "insertion-differential",
+                         np.abs(lhs - rhs).max(), 1e-12))
     return checks
+
+
+def htt_exactness(cfg, top):
+    """The exactness rungs 5..8 below the suite truncation, each built and
+    freed in turn, then its own rung's records top (`exactness_rung`)."""
+    return [c for trunc in range(5, min(cfg.trunc(12) - 1, 8) + 1)
+            for c in exactness_rung(cfg, GComplex(trunc, extended=True))
+            ] + top
 
 
 def htt_hull(tb):
@@ -368,9 +369,10 @@ def htt_transfer(cfg, tb):
 def suite_htt(cfg):
     L = cfg.trunc(12)
     ge = GComplex(L, extended=True)
-    checks = htt_side_conditions(ge) + htt_exactness(cfg, ge)
-    # free the extended complex before the transfer's tensors are built
+    checks, top = htt_side_conditions(ge), exactness_rung(cfg, ge)
+    # free it before the smaller rungs and the transfer's tensors are built
     del ge
+    checks += htt_exactness(cfg, top)
     tb = transfer(build_contraction(GComplex(min(L, 6))),
                   max_arity=cfg.max_arity)
     return checks + htt_hull(tb) + htt_transfer(cfg, tb)

@@ -14,6 +14,7 @@ import pytest
 from twistorbf.gcomplex import GComplex
 from twistorbf.suites import (
     SuiteConfig,
+    exactness_rung,
     htt_exactness,
     htt_hull,
     htt_side_conditions,
@@ -52,11 +53,14 @@ def kernel_checks():
 @pytest.fixture(scope="module")
 def htt():
     """The objects the htt suite's parts read at its default truncation
-    12: the extended complex, and the transfer of the plain complex's
-    contraction at min(12, 6)."""
+    12: the extended complex, the transfer of the plain complex's
+    contraction at min(12, 6), and the seconds the transfer took to build,
+    which criterion 08's time bound covers."""
     cfg = SuiteConfig(suite="htt")
-    return (cfg, GComplex(12, extended=True),
-            transfer(build_contraction(GComplex(6)), max_arity=cfg.max_arity))
+    ge = GComplex(12, extended=True)
+    start = time.time()
+    tb = transfer(build_contraction(GComplex(6)), max_arity=cfg.max_arity)
+    return cfg, ge, tb, time.time() - start
 
 
 @pytest.fixture(scope="module")
@@ -160,10 +164,10 @@ def test_criterion_07_hull_cohomology_match(htt):
 
 
 def test_criterion_08_homotopy_transfer(htt):
-    cfg, _, tb = htt
+    cfg, _, tb, build = htt
     start = time.time()
     named = _named(htt_transfer(cfg, tb))
-    elapsed = time.time() - start
+    elapsed = build + time.time() - start
     nharm_miss = named["harmonic-count"]["residual"]
     r_rel = named["transfer-jacobi-relations"]["residual"]
     r_co = named["transfer-cochain-map"]["residual"]
@@ -194,7 +198,7 @@ def test_criterion_09_master_equation(bv_checks):
 
 
 def test_criterion_10_exactness_and_insertion(htt):
-    checks = htt_exactness(htt[0], htt[1])
+    checks = htt_exactness(htt[0], exactness_rung(htt[0], htt[1]))
     ranks = _by_prefix(checks, "short-sequence-ranks")
     comp = _by_prefix(checks, "short-sequence-composition")
     dd = _by_prefix(checks, "insertion-squares-to-zero")

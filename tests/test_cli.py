@@ -1,13 +1,14 @@
 import json
+import weakref
 
 import pytest
 
 from twistorbf.cli import main
 from twistorbf.gcomplex import GComplex
 from twistorbf.sphere import LineBundleModel
-from twistorbf.suites import (SuiteConfig, htt_exactness, htt_hull,
-                              htt_side_conditions, htt_transfer, run_suite,
-                              suite_htt)
+from twistorbf.suites import (SuiteConfig, exactness_rung, htt_exactness,
+                              htt_hull, htt_side_conditions, htt_transfer,
+                              run_suite, suite_htt)
 from twistorbf.transfer import build_contraction, transfer
 
 
@@ -221,21 +222,27 @@ def test_htt_suite_matches_its_parts(capsys):
     cfg = SuiteConfig(suite="htt", truncation=5)
     ge = GComplex(5, extended=True)
     tb = transfer(build_contraction(GComplex(5)), max_arity=cfg.max_arity)
-    parts = (htt_side_conditions(ge) + htt_exactness(cfg, ge) + htt_hull(tb)
+    parts = (htt_side_conditions(ge)
+             + htt_exactness(cfg, exactness_rung(cfg, ge)) + htt_hull(tb)
              + htt_transfer(cfg, tb))
     assert rep["checks"] == json.loads(json.dumps(parts))
 
 
 def test_htt_suite_builds_each_object_once(monkeypatch):
     # one extended complex at the suite truncation, shared by the side
-    # conditions and the exactness ladder, and every line bundle model
-    # built by a complex: the hull check reads the transfer's harmonics
+    # conditions and the exactness ladder and freed before the ladder's
+    # smaller rungs are built, and every line bundle model built by a
+    # complex: the hull check reads the transfer's harmonics
     built, inside, outside = [], [0], [0]
+    live, alive_at_build = weakref.WeakSet(), []
     init, model, lb_init = (GComplex.__init__, GComplex._model,
                             LineBundleModel.__init__)
 
     def counting_init(self, truncation=12, extended=False):
         built.append((truncation, extended))
+        if extended:
+            alive_at_build.append(len(live))
+            live.add(self)
         init(self, truncation, extended)
 
     def counting_model(self, n, levels):
@@ -256,3 +263,5 @@ def test_htt_suite_builds_each_object_once(monkeypatch):
     assert all(c["pass"] for c in checks)
     assert built.count((12, True)) == 1
     assert outside[0] == 0
+    # one extended complex alive at a time: rungs 12, 5, 6, 7, 8
+    assert alive_at_build == [0] * 5

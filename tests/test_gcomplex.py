@@ -12,7 +12,8 @@ from twistorbf.graded import Stack, rank_by_components
 from twistorbf.radial import SphereGrid
 from twistorbf.sphere import LineBundleModel, build_model
 from twistorbf.suites import (SuiteConfig, _block_product, _blocks_max,
-                              htt_exactness, htt_side_conditions)
+                              exactness_rung, htt_exactness,
+                              htt_side_conditions)
 
 L = 6
 G = GComplex(L, extended=False)
@@ -659,7 +660,7 @@ def test_htt_checks_read_no_dense_insertion(monkeypatch):
     cfg = SuiteConfig(suite="htt", truncation=5)
     ge = GComplex(5, extended=True)
     assert all(c["pass"] for c in htt_side_conditions(ge)
-               + htt_exactness(cfg, ge))
+               + htt_exactness(cfg, exactness_rung(cfg, ge)))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
