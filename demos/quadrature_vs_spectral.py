@@ -3,8 +3,11 @@
 The closed-form kernel is singular on the diagonal, so a plain product
 grid cannot see past the singularity.  The corrected scheme splits off a
 neighborhood of the diagonal with a smooth bump and integrates it on a
-rotated polar grid centered at the target point; the polar resolution
-(n_rho, n_phi) is then the knob that controls the error.  This script
+polar grid about the target point.  By Schur's lemma that near piece is
+one constant c_p per level times the section's value at the target, and
+the n_rho x n_phi polar rule centred at the origin sets the c_p; n_phi
+must exceed |w - 1| for every form weight w, or the rule aliases.  The
+polar resolution is then the knob that controls the error.  This script
 sweeps that knob, checks the twist does not matter, and checks the chain
 identity with the quadrature homotopy.
 """

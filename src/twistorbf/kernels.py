@@ -13,25 +13,32 @@ grows at infinity.
 
 The diagonal is handled by splitting the integrand with a smooth radial bump
 in chordal distance: the far piece is flat near the pole and integrates well on
-the global grid, while the near piece is pushed to a rotated polar grid
-centered on the target, where the pole is cancelled by the polar measure.
-Sums are plain numpy reductions (pairwise), so results are reproducible.
+the global grid, while the near piece is integrated on a polar grid about the
+target, where the pole is cancelled by the polar measure.  Sums are plain
+numpy reductions (pairwise), so results are reproducible.
 
-Both blocks are SU(2)-equivariant under the torus z -> e^(i alpha) z.  When
-alpha is a multiple of 2 pi / period, with period the angle count of the grid
-a block integrates over (the far grid's n_theta, or n_phi of the polar grid),
-rotating the target permutes that grid, and the block's value for a form of
-RadialFun weight w picks up e^(i (w - 1) alpha).  Each target ring of n_theta
-equally spaced targets is therefore evaluated directly only at its first
-q = n_theta // gcd(n_theta, period) targets, and the rest are rotations.
+The near piece at target z2 is the polar rule turned onto z2 by an SU(2) map,
+an equivariant finite sum: the grid moves rigidly, the kernel obeys the Mobius
+law (`check_invariance`), the bump depends only on chordal distance, and each
+level of a model is one irrep.  By Schur's lemma it sends the image form of
+each section to c_p times the section's value at z2, one c_p per level p, and
+the harmonic forms (spin |n|/2 - 1, with no section partner) to 0, so one rule
+centred at the origin gives the whole near block.  That rule keeps every form
+weight w = 1 mod n_phi, so this is exact iff |w - 1| < n_phi for every form
+weight, and `KernelHomotopy` refuses other polar grids.
 
-The far grid is a product rule, z = r_a e^(i theta_b) with n_theta equally
-spaced angles, and a form of RadialFun weight w is P(r_a) e^(i w theta_b)
-there.  So the far sum over b of (cut kernel) times form is n_theta times
-the inverse FFT over b of the cut kernel, read at frequency w mod n_theta:
-the same finite sum reordered, aliasing included, with the forms evaluated
-on the radial nodes only (Huffenberger & Wandelt, ApJS 189 (2010) 255, do
-the azimuthal sums of spin-weighted transforms the same way).
+The far block is equivariant under the torus z -> e^(i alpha) z: when alpha
+is a multiple of 2 pi / n_theta, the far grid's angle step, rotating the
+target permutes the grid, and the value for a form of RadialFun weight w
+picks up e^(i (w - 1) alpha).  So each ring of T equally spaced targets is
+evaluated directly at its first q = T // gcd(T, n_theta) targets only.  The
+far grid is a product rule, z = r_a e^(i theta_b), and a form of weight w is
+P(r_a) e^(i w theta_b) there.  So the far sum over b of (cut kernel) times
+form is n_theta times the inverse FFT over b of the cut kernel, read at
+frequency w mod n_theta: the same finite sum reordered, aliasing included,
+with the forms evaluated on the radial nodes only (Huffenberger & Wandelt,
+ApJS 189 (2010) 255, do the azimuthal sums of spin-weighted transforms the
+same way).
 """
 
 from __future__ import annotations
@@ -66,23 +73,20 @@ def kernel_h(n, z1, z2):
     return fac / (2j * math.pi * dz)
 
 
-def kernel_weighted(n, z1, z2, dz=None):
+def kernel_weighted(n, z1, z2):
     """2i h(z1,z2) D1^(n/2-1) D2^(-n/2): the operator kernel on bounded
     profiles, decaying like the fourth power of the chordal distance to
-    infinity in z1 and bounded in z2.  dz overrides z2 - z1 when the caller
-    has a cancellation-free expression for it."""
+    infinity in z1 and bounded in z2."""
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     d1 = 1.0 + np.abs(z1) ** 2
     d2 = 1.0 + np.abs(z2) ** 2
-    if dz is None:
-        dz = z2 - z1
     if n >= -1:
         fac = (np.conj(z1) * z2 + 1.0) ** (n + 1) * d1 ** (-n / 2.0 - 2.0) * d2 ** (-n / 2.0)
     else:
         fac = (z1 * np.conj(z2) + 1.0) ** (-n - 1) * d1 ** (n / 2.0 - 1.0) * d2 ** (n / 2.0 + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = fac / (math.pi * dz)
+        out = fac / (math.pi * (z2 - z1))
     return out
 
 
@@ -174,12 +178,6 @@ def bump(d):
     return _smooth_step((D_CUT - d) / (D_CUT - D_FLAT))
 
 
-def _center_mobius(z2):
-    """The SU(2) map sending 0 to z2."""
-    d = math.sqrt(1.0 + abs(z2) ** 2)
-    return Mobius(1.0 / d, z2 / d)
-
-
 class KernelHomotopy:
     """Quadrature realization of the homotopy operator of one twist.
 
@@ -188,15 +186,19 @@ class KernelHomotopy:
     section basis, yielding a (dim0 x dim1) matrix comparable with the
     sections x forms block of model.hom.
 
-    Both blocks are evaluated at q = n_theta // gcd(n_theta, period) targets
-    per target ring and rotated to the rest (module docstring); at the
-    defaults that is one far and four near targets per ring of 64.  The far
-    block sums over the far grid's angle by one FFT per radial node, so the
-    forms are evaluated on its `order` radial nodes, not on the whole grid.
+    The far block sums the far grid's angle by one FFT per radial node and
+    is rotated around the target rings; the near block is c_p times the
+    section values, with c_p from the n_rho x n_phi polar rule at the
+    origin, and n_phi must exceed every |w - 1| (module docstring).
     """
 
     def __init__(self, model: LineBundleModel, order=64, n_rho=24, n_phi=48,
                  target_order=32):
+        for w in model.weights1:
+            if abs(w - 1) >= n_phi:
+                raise ValueError("twist %d: form weight %d aliases onto weight"
+                                 " 1 on n_phi = %d polar angles"
+                                 % (model.n, w, n_phi))
         self.model = model
         self.far = SphereGrid(order, 2 * order)
         self.targets = SphereGrid(target_order, 2 * target_order)
@@ -231,38 +233,34 @@ class KernelHomotopy:
             out[i0:i0 + step] = np.einsum("tai,ia->ti", kc[:, :, cols], prof)
         return out
 
-    def _near_block(self, zt):
-        """Near contribution on rotated polar grids: (len(zt), dim1)."""
+    def _near_block(self, v0):
+        """Near contribution at targets with section values v0 (dim0, t):
+        (t, dim1).  c_p is the centred rule on the weight-1 image form of
+        level p over its section's value at 0, the (0,0) coefficient; the
+        angular sum is exactly 2 pi on that form, so c_p is a radial sum."""
         m = self.model
         rho_max = D_CUT / math.sqrt(1.0 - D_CUT ** 2)
         x, wx = np.polynomial.legendre.leggauss(self.n_rho)
         rho = 0.5 * rho_max * (x + 1.0)
-        wrho = 0.5 * rho_max * wx
-        phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
-        zeta = rho[:, None] * np.exp(1j * phi)[None, :]
-        dchord = (rho / np.sqrt(1.0 + rho ** 2))
-        chi = bump(dchord)
-        # polar measure, Jacobian of the rotation added per target below
-        wzeta = (wrho * rho * chi)[:, None] * (2.0 * math.pi / self.n_phi)
-        out = np.empty((len(zt), self.model.dim1), dtype=complex)
-        for i, z2 in enumerate(zt):
-            g = _center_mobius(z2)
-            p = g.factor(zeta)
-            z1 = (g.a * zeta + g.b) / p
-            # z2 - z1 without cancellation: -(zeta) / (conj(a) p)
-            dz = -zeta / (np.conj(g.a) * p)
-            k = kernel_weighted(m.n, z1, z2, dz=dz)
-            jac = 1.0 / np.abs(p) ** 4
-            vals = m.basis_values(z1.ravel(), 1)
-            out[i] = vals @ (k * jac * wzeta).ravel()
+        chi = bump(rho / np.sqrt(1.0 + rho ** 2))
+        wk = math.pi * rho_max * wx * rho * chi * kernel_weighted(m.n, rho, 0)
+        i0, i1 = np.array(m._image_pairs, dtype=int).reshape(-1, 2).T
+        c = np.zeros(m.levels, dtype=complex)
+        for s, f in zip(i0, i1):
+            if m.weights0[s] == 0:
+                form = m.funs1[f].eval(rho, extra=m.normalized_extra(1))
+                c[m.level0[s]] = form @ wk / m.funs0[s].terms[(0, 0)]
+        out = np.zeros((v0.shape[1], m.dim1), dtype=complex)
+        out[:, i1] = c[m.level0[i0]] * v0[i0].T
         return out
 
-    def _on_rings(self, block, period):
-        """block at every target, from the first q targets of each ring;
-        period is the angle count of the grid block integrates over."""
+    def _on_rings(self):
+        """The far block at every target, from the first q targets of each
+        ring (module docstring)."""
         t = self.targets
-        q = t.n_theta // math.gcd(t.n_theta, period)
-        base = block(t.z.reshape(t.n_radial, t.n_theta)[:, :q].ravel())
+        q = t.n_theta // math.gcd(t.n_theta, self.far.n_theta)
+        base = self._far_block(
+            t.z.reshape(t.n_radial, t.n_theta)[:, :q].ravel())
         alpha = 2.0 * math.pi * q * np.arange(t.n_theta // q) / t.n_theta
         w = self.model.weights1
         phase = np.exp(1j * alpha[:, None] * (w - 1)[None, :])
@@ -273,10 +271,8 @@ class KernelHomotopy:
         """H as a (dim0, dim1) coefficient matrix."""
         if self._matrix is not None:
             return self._matrix
-        m = self.model
-        outvals = (self._on_rings(self._far_block, self.far.n_theta)
-                   + self._on_rings(self._near_block, self.n_phi))
-        v0, wfac = m.grid_data(self.targets, 0)
+        v0, wfac = self.model.grid_data(self.targets, 0)
+        outvals = self._on_rings() + self._near_block(v0)
         self._matrix = v0.conj() @ (wfac[:, None] * outvals)
         return self._matrix
 

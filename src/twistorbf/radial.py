@@ -168,14 +168,10 @@ class RadialFun:
         """Value f(z) D^-extra, vectorized and large-|z| stable."""
         z = np.asarray(z, dtype=complex)
         u = np.abs(z) ** 2
-        w = self.weight
-        absz = np.where(u > 0, np.abs(z), 1.0)
-        phase = (z / absz) ** w
-        vals = self.profile(u, extra=extra) * phase
-        if w != 0:
-            # only the (0,0) term survives at the origin, and w != 0 excludes it
-            vals = np.where(u == 0, 0.0, vals)
-        return vals
+        # the unit phase z/|z| is taken as 1 at the origin, where a profile
+        # of nonzero weight carries the factor |z|^|w| = 0
+        unit = np.where(u > 0, z / np.where(u > 0, np.abs(z), 1.0), 1.0)
+        return self.profile(u, extra=extra) * unit ** self.weight
 
     def boundedness_margin(self, extra=0.0):
         """gamma + extra - |w|/2 - m_max; negative means growth at infinity."""

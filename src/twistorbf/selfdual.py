@@ -166,10 +166,6 @@ class UAlgebra:
         val = mat[np.arange(self.dim), col]
         return Pairing(self.space, Gather(self.dim, slice(None), col, val), 3)
 
-    def reduced_dims(self):
-        red = self.space.reduced_degrees()
-        return {r: int((red == r).sum()) for r in sorted(set(red.tolist()))}
-
 
 U_ALG = UAlgebra()
 
@@ -276,37 +272,49 @@ def lambda2_minus_action(b_coords, v_coords):
 # product (Loday-Vallette, Algebraic Operads, 2012, section 10.3).
 
 
+def _counts(degrees):
+    return {int(r): int(k)
+            for r, k in zip(*np.unique(degrees, return_counts=True))}
+
+
+# the hull's dimensions per reduced degree: the quotient algebra's (1,4,3)
+# on the holomorphic ("o") blocks, its dual's (3,4,1) on the dual-twist ("w")
+HULL_DIMS = dict(zip("ow", map(_counts, np.split(
+    U_ALG.space.reduced_degrees(), 2))))
+
+
+def _harmonic_blocks(con):
+    """The block that each harmonic lies on: one stretch of the layout per
+    block, its sections then its forms."""
+    g = con.algebra
+    starts = [g.offsets[(bi, 0)] for bi in range(len(g.blocks))]
+    return np.searchsorted(starts, con.harm_index, side="right") - 1
+
+
+def graded_dims(tb):
+    """Harmonics of tb per reduced degree on the "o" and "w" blocks, as in
+    HULL_DIMS; a mismatch means a wiring bug, not a numerical issue."""
+    con = tb.con
+    part = np.array([con.algebra.blocks[bi].part
+                     for bi in _harmonic_blocks(con)])
+    return {p: _counts(con.harm_degrees[part == p]) for p in "ow"}
+
+
 def check_u_cohomology_iso(tb):
-    """Dimension and product match between the cyclic hull and cohomology.
+    """Product match between the cyclic hull and cohomology.
 
-    tb is the `Transferred` structure of the plain complex's contraction.
-    Counts its harmonics per reduced degree on the holomorphic ("o") and
-    the dual-twist ("w") blocks, (1,4,3) and (3,4,1) against the hull,
-    then compares the transferred product of two degree-one classes with
-    the quotient-algebra product of 1-forms up to an invertible change of
-    basis, fitted to 1e-9 of the products' size.  Dimension mismatches
-    raise: they mean a wiring bug, not a numerical issue.
+    tb is the `Transferred` structure of the plain complex's contraction,
+    whose `graded_dims` must be HULL_DIMS.  Compares the transferred product
+    of two degree-one classes with the quotient-algebra product of 1-forms
+    up to an invertible change of basis, fitted to 1e-9 of the products'
+    size.
     """
-    con, g = tb.con, tb.con.algebra
-    # which harmonics lie on each block of the complex's layout
-    on = [np.isin(con.harm_index, np.r_[g.block_slice(bi, 0),
-                                         g.block_slice(bi, 1)])
-          for bi in range(len(g.blocks))]
-    o_dims, w_dims = ({int(r): int(k) for r, k in zip(*np.unique(
-        con.harm_degrees[np.any([m for m, b in zip(on, g.blocks)
-                                 if b.part == p], axis=0)],
-        return_counts=True))} for p in "ow")
-    if (o_dims != {0: 1, 1: 4, 2: 3}) or (w_dims != {1: 3, 2: 4, 3: 1}):
-        raise RuntimeError("graded dimensions off: %r / %r"
-                           % (o_dims, w_dims))
-    total = {r: o_dims.get(r, 0) + w_dims.get(r, 0) for r in range(4)}
-    if total != U_ALG.reduced_dims():
-        raise RuntimeError("hull dimensions off: %r" % total)
-
+    g, blocks = tb.con.algebra, _harmonic_blocks(tb.con)
     # product side: degree-one classes form W+ (x) H0(O(1)), the harmonics
     # of the ("o", ext 1) doublet block, index (alpha, section); m2 takes
     # two of them to the ("o", ext 2) block's harmonics
-    d, t = (np.flatnonzero(on[g._find_block(ext, 0, "o")]) for ext in (1, 2))
+    d, t = (np.flatnonzero(blocks == g._find_block(ext, 0, "o"))
+            for ext in (1, 2))
     model = g.blocks[g._find_block(1, 0, "o")].model
 
     # spinor route into the doublet: 1-form -> matrix rows W+, columns W-;
@@ -330,11 +338,6 @@ def check_u_cohomology_iso(tb):
     scale = float(np.abs(flatB).max())
     svals = np.linalg.svd(Tt.T, compute_uv=False)
     report = {
-        "o_dims": o_dims,
-        "w_dims": w_dims,
-        "total_dims": total,
-        "o_total": sum(o_dims.values()),
-        "w_total": sum(w_dims.values()),
         "product_rank": rank,
         "basis_change_residual": resid / scale if scale > 0 else resid,
         "basis_change_condition": float(svals[0] / svals[-1]),

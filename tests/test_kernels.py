@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twistorbf.gcomplex import PLAIN_BLOCKS
 from twistorbf.kernels import (
+    D_CUT,
     KernelHomotopy,
     Mobius,
     bump,
@@ -292,15 +293,50 @@ def test_quadrature_zero_in_zero_out():
     assert np.abs(hq.matrix() @ np.zeros(m.dim1)).max() == 0.0
 
 
+def _center_mobius(z2):
+    """The SU(2) map sending 0 to z2."""
+    d = math.sqrt(1.0 + abs(z2) ** 2)
+    return Mobius(1.0 / d, z2 / d)
+
+
+def _per_target_near_block(m, zt, n_rho, n_phi):
+    # oracle: the near block as the n_rho x n_phi polar rule turned onto
+    # each target by _center_mobius, every form evaluated on it, as it was
+    # before Schur's lemma reduced it to one centred rule per model
+    rho_max = D_CUT / math.sqrt(1.0 - D_CUT ** 2)
+    x, wx = np.polynomial.legendre.leggauss(n_rho)
+    rho = 0.5 * rho_max * (x + 1.0)
+    wrho = 0.5 * rho_max * wx
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    zeta = rho[:, None] * np.exp(1j * phi)[None, :]
+    chi = bump(rho / np.sqrt(1.0 + rho ** 2))
+    wzeta = (wrho * rho * chi)[:, None] * (2.0 * math.pi / n_phi)
+    out = np.empty((len(zt), m.dim1), dtype=complex)
+    for i, z2 in enumerate(zt):
+        g = _center_mobius(z2)
+        p = g.factor(zeta)
+        z1 = (g.a * zeta + g.b) / p
+        # kernel_weighted divides by the computed z2 - z1; trade it for
+        # -zeta / (conj(a) p), the same difference without cancellation
+        dz = -zeta / (np.conj(g.a) * p)
+        k = kernel_weighted(m.n, z1, z2) * ((z2 - z1) / dz)
+        jac = 1.0 / np.abs(p) ** 4
+        vals = m.basis_values(z1.ravel(), 1)
+        out[i] = vals @ (k * jac * wzeta).ravel()
+    return out
+
+
 def _per_target_matrix(hq):
     # oracle: far and near blocks evaluated at every target in chunks of
-    # 256, as matrix() did before it rotated results around the target rings
+    # 256, as matrix() did before it rotated the far block around the
+    # target rings and read the near block off the centred rule
     m = hq.model
     zt = hq.targets.z
     outvals = np.empty((len(zt), m.dim1), dtype=complex)
     for i0 in range(0, len(zt), 256):
         sl = slice(i0, i0 + 256)
-        outvals[sl] = hq._far_block(zt[sl]) + hq._near_block(zt[sl])
+        outvals[sl] = hq._far_block(zt[sl]) + _per_target_near_block(
+            m, zt[sl], hq.n_rho, hq.n_phi)
     v0, wfac = m.grid_data(hq.targets, 0)
     return v0.conj() @ (wfac[:, None] * outvals)
 
@@ -319,6 +355,46 @@ def test_ring_rotation_matches_per_target_quadrature(n, target_order):
     want = _per_target_matrix(hq)
     got = hq.matrix()
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+# a few targets at every scale of the chart, the origin and a far one
+# off the axes among them
+_NEAR_TARGETS = np.array([0.0, 1e-3j, 0.3 + 0.1j, -0.8 - 0.6j, -1.2 + 0.7j,
+                          2.5j, 7.5 - 3j, -40.0 + 25.0j])
+
+
+@pytest.mark.parametrize("n, levels, n_rho, n_phi", [
+    # the kernel suite's models on the default near grid
+    *((n, max(abs(n) + 4, 8), 24, 48) for n in range(-6, 5)),
+    # the demo's coarsest grid
+    (0, 8, 6, 12),
+])
+def test_near_block_matches_per_target_quadrature(n, levels, n_rho, n_phi):
+    m = build_model(n, levels)
+    hq = KernelHomotopy(m, order=8, n_rho=n_rho, n_phi=n_phi)
+    want = _per_target_near_block(m, _NEAR_TARGETS, n_rho, n_phi)
+    got = hq._near_block(m.basis_values(_NEAR_TARGETS, 0))
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    # Schur: the harmonic forms have no section partner
+    assert not got[:, :m.n_harm1].any()
+    assert (np.abs(want[:, :m.n_harm1]).max(initial=0.0)
+            <= 1e-13 * np.abs(want).max())
+
+
+def test_near_block_aliasing_guard_is_sharp():
+    # at n = -6, L = 10 the form weights run from -14 to 10, so the
+    # largest |w - 1| is 15: fifteen angles alias weight -14 onto 1
+    m = build_model(-6, 10)
+    assert np.abs(m.weights1 - 1).max() == 15
+    with pytest.raises(ValueError, match=r"twist -6: form weight -14 .*"
+                                         r"n_phi = 15 "):
+        KernelHomotopy(m, n_phi=15)
+    got = KernelHomotopy(m, order=8, n_phi=16)._near_block(
+        m.basis_values(_NEAR_TARGETS, 0))
+    want = _per_target_near_block(m, _NEAR_TARGETS, 24, 16)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    aliased = _per_target_near_block(m, _NEAR_TARGETS, 24, 15)
+    assert np.linalg.norm(got - aliased) > 1e-6 * np.linalg.norm(aliased)
 
 
 def _direct_far_block(hq, zt):
@@ -393,8 +469,9 @@ def test_ring_rotation_phase_rule(n, r, theta, s):
     hq = KernelHomotopy(m, order=16)
     w = m.weights1
     z = np.array([r * np.exp(1j * theta)])
-    for block, period in ((hq._near_block, hq.n_phi),
-                          (hq._far_block, hq.far.n_theta)):
+    near = functools.partial(_per_target_near_block, m, n_rho=hq.n_rho,
+                             n_phi=hq.n_phi)
+    for block, period in ((near, hq.n_phi), (hq._far_block, hq.far.n_theta)):
         alpha = 2 * math.pi * s / period
         want = np.exp(1j * (w - 1) * alpha) * block(z)
         got = block(np.exp(1j * alpha) * z)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from twistorbf.radial import (
     integral_exact,
     monomial,
 )
+from twistorbf.sphere import build_model
 
 
 def fd_dbar(f, z, h=1e-6):
@@ -142,6 +144,20 @@ def test_eval_stable_at_large_radius():
     lo = f.eval(np.array([(1 - eps) * np.exp(0.7j)]), extra=4.0)
     hi = f.eval(np.array([(1 + eps) * np.exp(0.7j)]), extra=4.0)
     assert abs(lo - hi)[0] < 1e-7
+
+
+@pytest.mark.parametrize("n", range(-6, 5))
+def test_basis_values_at_the_origin_raise_no_warning(n):
+    # a negative weight took 0 ** w before the origin was masked, which
+    # warned "invalid value encountered in power" and failed under -W error
+    m = build_model(n, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for degree in (0, 1):
+            got = m.basis_values(np.zeros(1), degree)[:, 0]
+            # at z = 0 only the (0,0) term of a weight-0 function survives
+            want = [f.terms.get((0, 0), 0.0) for f in m.funs(degree)]
+            np.testing.assert_array_equal(got, want)
 
 
 def test_boundedness_margin():

@@ -7,6 +7,7 @@ is checked against the closed-form section products to 1e-13.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from twistorbf.graded import exterior_algebra, koszul_sign, merge_sign
 from twistorbf.radial import hermitian_inner
 from twistorbf.selfdual import (
     A_ALG, EPS, EXT4, LAMBDA2_MINUS, LAMBDA2_PLUS, SPIN, SUB_INDEX, SUBSETS,
-    U_ALG, VOL_INDEX, check_u_cohomology_iso, lambda2_minus_action,
-    spinor_matrix,
+    HULL_DIMS, U_ALG, VOL_INDEX, check_u_cohomology_iso, graded_dims,
+    lambda2_minus_action, spinor_matrix,
 )
 from twistorbf.sphere import build_model
 from twistorbf.suites import htt_hull
@@ -153,7 +154,7 @@ def test_quotient_algebra_associative_and_graded_commutative():
 
 
 def test_hull_dimensions_and_bidegrees():
-    assert U_ALG.reduced_dims() == {0: 1, 1: 7, 2: 7, 3: 1}
+    assert np.bincount(U_ALG.space.reduced_degrees()).tolist() == [1, 7, 7, 1]
     for i in range(8):
         k, l = U_ALG.space.degrees[i]
         kd, ld = U_ALG.space.degrees[8 + i]
@@ -302,11 +303,10 @@ def tb():
 
 
 def test_u_cohomology_identification(tb):
+    assert HULL_DIMS == {"o": {0: 1, 1: 4, 2: 3}, "w": {1: 3, 2: 4, 3: 1}}
+    assert graded_dims(tb) == HULL_DIMS
     rep = check_u_cohomology_iso(tb)
     assert rep["pass"]
-    assert rep["o_dims"] == {0: 1, 1: 4, 2: 3}
-    assert rep["w_dims"] == {1: 3, 2: 4, 3: 1}
-    assert rep["o_total"] == 8 and rep["w_total"] == 8
     assert rep["product_rank"] == 3
     assert rep["basis_change_residual"] < 1e-10
     assert rep["basis_change_condition"] < 1e3
@@ -362,3 +362,21 @@ def test_hull_product_match_sees_a_flipped_product_entry(tb, monkeypatch):
     named = {c["name"]: c for c in htt_hull(tb)}
     assert not named["hull-product-match"]["pass"]
     assert not named["hull-basis-change-invertible"]["pass"]
+
+
+def test_wrong_harmonic_degree_fails_the_hull_records():
+    # a wiring fault that moves one harmonic to the wrong degree must give
+    # failing records, not an exception that ends the suite without them
+    tb5 = transfer(build_contraction(GComplex(5)), max_arity=2)
+    assert all(c["pass"] for c in htt_hull(tb5))
+    con = copy.copy(tb5.con)
+    con.harm_degrees = con.harm_degrees.copy()
+    con.harm_degrees[np.flatnonzero(con.harm_degrees == 1)[0]] += 1
+    bad = copy.copy(tb5)
+    bad.con = con
+    named = {c["name"]: c for c in htt_hull(bad)}
+    assert named["hull-graded-dimensions"]["w_dims"] == {1: 2, 2: 5, 3: 1}
+    assert not any(c["pass"] for c in named.values())
+    # the product records are not computed on the wrong dimensions
+    assert named["hull-product-rank"]["residual"] == math.inf
+    assert named["hull-product-match"]["residual"] == math.inf
