@@ -30,8 +30,9 @@ print("  worst side condition  %.2e" % max(con.side_conditions.values()))
 
 tb = transfer(con, max_arity=4)
 print("\ntransferred tensors on the harmonic space")
-for n in sorted(tb.m):
-    print("  max |m_%d| = %.3e" % (n, float(np.abs(tb.m[n]).max())))
+print("  max |m_1| = %.3e" % np.abs(tb.m1).max())
+for n, (_, vals) in sorted(tb.support.items()):
+    print("  max |m_%d| = %.3e" % (n, np.abs(vals).max(initial=0.0)))
 print("  (m_3 and m_4 vanish: the complex is formal, everything sits")
 print("   in the binary bracket)")
 
@@ -61,7 +62,7 @@ alg, d, H, proj, degs = heisenberg_dga()
 toy = Contraction(alg, d, H, proj, degs, label="toy")
 tt = transfer(toy, max_arity=3)
 names = ["1", "e1", "e2", "e13", "e23", "e123"]
-m2, m3 = tt.m[2], tt.m[3]
+m2, m3 = tt.dense(2), tt.dense(3)
 print("\nHeisenberg toy: d e3 = e1 e2, harmonics", names)
 print("  m_2(e1, e2)      = 0 on harmonics (the product is exact):"
       " max %.1e" % np.abs(m2[1, 2]).max())

@@ -326,7 +326,8 @@ def check_u_cohomology_iso(tb):
                     for f in s_funs])
     S = np.stack([m @ sig.T for m in _SPIN1], axis=-1).reshape(len(d), 4)
 
-    b_pairs = np.einsum("pm,qn,pqc->mnc", S, S, tb.m[2][np.ix_(d, d, t)])
+    b_pairs = np.einsum("pm,qn,pqc->mnc", S, S,
+                        tb.dense(2)[np.ix_(d, d, t)])
     # the quotient algebra's products of the 1-forms e_mu, in Lambda^2_-
     a_pairs = A_ALG.structure[1:5, 1:5, 5:]
 

@@ -14,18 +14,16 @@ right factor's degree against everything it jumps over; deg(H lam_t) is
 degrees.
 
 One loop over n builds every arity.  The leaves, the root rows and each
-lam_n below the top arity are `graded.Stack`s, held on the columns the
-products let them reach, a few of the complex's; the products take and
-return stacks.  H is a `Gather`, so on a stack it is a column remap, and
-the root p of the plain contraction picks the harmonic coordinates.  The
-top arity is contracted against the root rows, so its stack never exists.
-The splits are summed in the order s = 1, n - 1, 2 .. n - 2, the order of
-the dense reference in the tests, so that both round alike.
-
-Brackets are graded antisymmetrizations over argument orderings, summed
-over each tensor's nonzero entries.  Matrix coefficients ride along as
-ordered products, so the scalar structure tensors computed once serve
-every coefficient rank.
+H lam_s are `graded.Stack`s on the columns the products reach and, for
+H lam_s, on its nonzero rows, each named by its flat id (the base-nh
+number of its index tuple).  H is a `Gather`, so on a stack it is a column
+remap; the plain root picks the harmonic coordinates.  Each m_n, n >= 2,
+is held as its support: its nonzero entries' index tuples, in `np.nonzero`
+order, and values.  The top arity is contracted against the root rows and
+each split cut to its nonzero entries at once.  The splits are summed in
+the order s = 1, n - 1, 2 .. n - 2 of the dense reference in the tests,
+so that both round alike.  Brackets are graded antisymmetrizations summed
+over the support; matrix coefficients ride along as ordered products.
 
 A second differential of homological type can be switched on; the
 homotopy then corrects leaves and root by the usual geometric series,
@@ -247,27 +245,33 @@ def lambda_oracle(algebra, H, vectors, degrees):
 class Transferred:
     """Transferred operations over the harmonic basis.
 
-    m[1] is the matrix of the transferred differential (output index
-    first); m[n] for n >= 2 has axes (a_1 .. a_n, out).  bracket() is the
-    graded antisymmetrization, accepting scalar vectors (nh,) or matrix
-    valued elements (nh, k, k), each homogeneous; it sums over the support
-    of m[n] (its exact nonzeros), read here once.  The dense tensors stay
-    for the checks that read them, and are made read-only so that the
-    support cannot go stale.
+    m1 is the matrix of the transferred differential (output index first).
+    Each m_n, n >= 2, is held as its support: support[n] is the pair
+    (index tuple, values), the exact nonzero entries of the tensor with
+    axes (a_1 .. a_n, out) in `np.nonzero` (C) order.  bracket() is the
+    graded antisymmetrization over that support, accepting scalar vectors
+    (nh,) or matrix valued elements (nh, k, k), each homogeneous; dense(n)
+    assembles the whole tensor for the checks that contract it.
     """
 
-    def __init__(self, m_ops, degrees, con):
-        self.m = m_ops
-        for T in m_ops.values():
-            T.flags.writeable = False
-        self.support = {n: np.nonzero(T) for n, T in m_ops.items() if n >= 2}
+    def __init__(self, m1, support, degrees, con):
+        self.m1 = m1
+        self.support = support
         self.degrees = np.asarray(degrees, dtype=int)
         self.con = con
         self.nharm = len(self.degrees)
 
     @property
     def max_arity(self):
-        return max(self.m)
+        return max(self.support)
+
+    def dense(self, n):
+        """m_n assembled dense from its support, kept by no one."""
+        if n == 1:
+            return self.m1
+        out = np.zeros((self.nharm,) * (n + 1), dtype=complex)
+        out[self.support[n][0]] = self.support[n][1]
+        return out
 
     def element_degree(self, x):
         sup = np.nonzero(np.abs(np.asarray(x).reshape(self.nharm, -1)
@@ -284,11 +288,11 @@ class Transferred:
         xs = [np.asarray(x, dtype=complex) for x in xs]
         n = len(xs)
         if n == 1:
-            return np.einsum("ba,a...->b...", self.m[1], xs[0])
-        if n not in self.m:
+            return np.einsum("ba,a...->b...", self.m1, xs[0])
+        if n not in self.support:
             raise ValueError("no arity %d operation built" % n)
         degs = [self.element_degree(x) for x in xs]
-        idx = self.support[n]
+        idx, vals = self.support[n]
         # a scalar argument is a multiple of the k x k identity (k = 1
         # when every argument is scalar); matrix coefficients multiply
         # left to right in argument order
@@ -301,7 +305,7 @@ class Transferred:
             total = total + koszul_sign_permutation(perm, degs) * reduce(
                 np.matmul, [mats[t][idx[a]] for a, t in enumerate(perm)])
         out = np.zeros((self.nharm, k, k), dtype=complex)
-        np.add.at(out, idx[n], self.m[n][idx][:, None, None] * total)
+        np.add.at(out, idx[n], vals[:, None, None] * total)
         return out if matrix else out[:, 0, 0]
 
 
@@ -316,16 +320,10 @@ def transfer(con, max_arity=4, d2=None):
     alg = con.algebra
     if alg is None:
         raise ValueError("contraction carries no product")
-    if 16 * con.nharm ** (max_arity + 1) > 2 ** 31:
-        raise ValueError("arity %d tensor too large at %d harmonics"
-                         % (max_arity, con.nharm))
     nh, dim = con.nharm, con.dim
     psi, P, m1 = con.perturbed(d2)            # leaf columns, root rows
-    H = con.H
-    degs = con.harm_degrees
-    kap1 = np.where(degs % 2, -1.0, 1.0)
+    H, kap1 = con.H, np.where(con.harm_degrees % 2, -1.0, 1.0)
     R = Stack.of(P)
-    W = {1: Stack.of(-psi.T)}                 # H lam_s; the leaves at s = 1
 
     def at(cols, S):
         # position of each column in the stack S, -1 where S has none
@@ -333,11 +331,14 @@ def transfer(con, max_arity=4, d2=None):
         pos[S.cols] = np.arange(len(S.cols))
         return pos[cols]
 
-    def hom(S):
-        # H on each row of a stack: column H.col[e] moves to e, times H.val
+    def hom(ids, S):
+        # H on each row of a stack: column H.col[e] moves to e, times H.val;
+        # the rows it sends to zero are dropped
         src = at(H.col, S)
         e = np.flatnonzero((src >= 0) & (H.val != 0))
-        return Stack(S.vals[:, src[e]] * H.val[e], e)
+        vals = S.vals[:, src[e]] * H.val[e]
+        keep = np.any(vals, axis=1)
+        return ids[keep], Stack(vals[keep], e)
 
     def root(S):
         # the root rows on the stack's columns; the plain root is the pick
@@ -345,44 +346,53 @@ def transfer(con, max_arity=4, d2=None):
         pos = at(S.cols, R)
         return S.vals[..., pos >= 0] @ R.vals[:, pos[pos >= 0]].T
 
-    def plus(A, B):
-        # A + B on the union of their columns, in place where A's cover B's
-        if A is None:
-            return B
-        cols = np.union1d(A.cols, B.cols)
-        if len(cols) > len(A.cols):
-            vals = np.zeros((len(A.vals), len(cols)), dtype=complex)
-            vals[:, np.searchsorted(cols, A.cols)] = A.vals
-            A = Stack(vals, cols)
-        A.vals[:, np.searchsorted(cols, B.cols)] += B.vals
-        return A
+    def entries(ids, block):
+        # an (rows, out) block's nonzero entries by flat id, in one column
+        r, o = np.nonzero(block)
+        return ids[r] * nh + o, Stack(block[r, o][:, None], np.zeros(1, int))
 
-    ops = {1: m1}
+    def total(parts):
+        # the splits summed in order on the union of their rows and columns;
+        # a split without a row adds nothing, as its exact zero would
+        ids = reduce(np.union1d, [i for i, _ in parts])
+        cols = reduce(np.union1d, [S.cols for _, S in parts])
+        out = np.zeros((len(ids), len(cols)), dtype=complex)
+        for i, S in parts:
+            out[np.ix_(np.searchsorted(ids, i),
+                       np.searchsorted(cols, S.cols))] += S.vals
+        return ids, Stack(out, cols)
+
+    # H lam_s on its nonzero rows, by flat row id; the leaves at s = 1
+    W = {1: (np.arange(nh), Stack.of(-psi.T))}
+    support = {}
     for n in range(2, max_arity + 1):
-        shape = (nh,) * (n + 1)
-        lam = None
+        parts = []
         # the order the dense reference sums in: s = 1, n - 1, 2 .. n - 2
         for s in dict.fromkeys([1, n - 1, *range(2, n - 1)]):
             t = n - s
+            (ids, X), (jds, Y) = W[s], W[t]
             # (-1)**(s+1) mu(H lam_s, H lam_t), with the Koszul sign of an
             # even H lam_t past the first s inputs; +-1 on the rows is exact
-            f = (-1.0) ** (s + 1)
+            f = np.full(len(ids), (-1.0) ** (s + 1))
             if t % 2 == 0:
-                f = f * reduce(np.multiply.outer, [kap1] * s).ravel()
-            X = W[s] if np.all(f == 1.0) else W[s]._replace(
-                vals=W[s].vals * np.reshape(f, (-1, 1)))
+                for a in np.unravel_index(ids, (nh,) * s):
+                    f *= kap1[a]
+            X = X._replace(vals=X.vals * f[:, None])
+            rows = (ids[:, None] * nh ** t + jds).ravel()
             if n < max_arity:
-                lam = plus(lam, alg.product_batch(X, W[t]).flat())
-            elif lam is None:
-                lam = alg.product_contract(X, W[t], R).reshape(shape)
+                parts.append((rows, alg.product_batch(X, Y).flat()))
             else:
-                lam += alg.product_contract(X, W[t], R).reshape(shape)
+                # each split cut to its nonzero entries before the next
+                parts.append(entries(rows, alg.product_contract(
+                    X, Y, R).reshape(len(rows), nh)))
+        ids, lam = total(parts)
         if n < max_arity:
-            ops[n] = root(lam).reshape(shape)
-            W[n] = hom(lam)
-        else:
-            ops[n] = lam
-    return Transferred(ops, degs, con)
+            W[n] = hom(ids, lam)
+            ids, lam = entries(ids, root(lam))
+        keep = lam.vals[:, 0] != 0        # the top arity's splits may cancel
+        support[n] = (np.unravel_index(ids[keep], (nh,) * (n + 1)),
+                      lam.vals[keep, 0])
+    return Transferred(m1, support, con.harm_degrees, con)
 
 
 # -- consistency checks -----------------------------------------------------
@@ -415,28 +425,27 @@ def random_homogeneous(degrees, rng, r, rank=None):
 
 
 def check_ainfinity(tb, through_arity=4):
-    """Residuals of the associativity-tower identities on the tensors.
+    """Residuals of the associativity-tower identities on the tensors,
+    each assembled dense once from its support.
 
     Relation at arity n sums (-1)**(r + s*t) times the inner operation in
     slots r+1..r+s, with the evaluation sign (-1)**(s * sum of the first r
     degrees).  Arity 5 is available when the transferred differential
     vanishes, which kills the terms that would need the arity-5 tensor.
     """
-    degs = tb.degrees
-    nh = tb.nharm
-    par = degs % 2
-    m1_norm = float(np.abs(tb.m[1]).max())
+    nh, kap = tb.nharm, np.where(tb.degrees % 2, -1.0, 1.0)
+    m1_norm = float(np.abs(tb.m1).max())
     built = tb.max_arity
+    # m_1 with its input axis first, like the others
+    m = {s: tb.dense(s) for s in range(2, built + 1)} | {1: tb.m1.T}
     out = {}
     letters = "abcdefg"
     for n in range(1, through_arity + 1):
         if n == 1:
             out[1] = m1_norm if m1_norm < _M1_ZERO else float(
-                np.abs(tb.m[1] @ tb.m[1]).max())
+                np.abs(tb.m1 @ tb.m1).max())
             continue
-        acc = None
-        scale = 0.0
-        skipped = False
+        acc, scale, skipped = None, 0.0, False
         for s in range(1, n + 1):
             outer_ar = n - s + 1
             if s > built or outer_ar > built:
@@ -444,26 +453,16 @@ def check_ainfinity(tb, through_arity=4):
                     continue        # term vanishes with m_1
                 skipped = True
                 break
-            inner = tb.m[s].T if s == 1 else tb.m[s]
-            outer = tb.m[outer_ar].T if outer_ar == 1 else tb.m[outer_ar]
             for r in range(0, n - s + 1):
-                t = n - s - r
-                # einsum: outer over (head, u, tail, out), inner over
-                # (middle, u)
-                head = letters[:r]
-                mid = letters[r:r + s]
-                tail = letters[r + s:n]
-                term = np.einsum(
-                    "%su%sz,%su->%sz" % (head, tail, mid, letters[:n]),
-                    outer, inner, optimize=True)
+                # outer over (head, u, tail, out), inner over (middle, u)
+                term = np.einsum("%su%sz,%su->%sz" % (
+                    letters[:r], letters[r + s:n], letters[r:r + s],
+                    letters[:n]), m[outer_ar], m[s], optimize=True)
+                sgn = (-1.0) ** (r + s * (n - s - r))
                 if r > 0 and s % 2:
-                    acc_par = par
-                    for _ in range(r - 1):
-                        acc_par = np.add.outer(acc_par, par)
-                    sgn = np.where(acc_par % 2, -1.0, 1.0)
-                    term = term * sgn.reshape((nh,) * r + (1,) * (n + 1 - r))
-                if (r + s * t) % 2:
-                    term = -term
+                    sgn = sgn * reduce(np.multiply.outer, [kap] * r).reshape(
+                        (nh,) * r + (1,) * (n + 1 - r))
+                term = sgn * term
                 scale = max(scale, float(np.abs(term).max()))
                 acc = term if acc is None else acc + term
         if skipped:
@@ -489,7 +488,7 @@ def check_linfty_relations(tb, rng, max_arity=4, samples=2, rank=None,
     Returns per-arity relative residuals (worst over samples).
     """
     degs_avail = sorted(set(tb.degrees.tolist()))
-    m1_norm = float(np.abs(tb.m[1]).max())
+    m1_norm = float(np.abs(tb.m1).max())
     out = {}
     for n in range(2, max_arity + 1):
         worst = 0.0
@@ -500,8 +499,7 @@ def check_linfty_relations(tb, rng, max_arity=4, samples=2, rank=None,
                 rs = [degs_avail[rng.integers(len(degs_avail))]
                       for _ in range(n)]
             xs = [random_homogeneous(tb.degrees, rng, r, rank) for r in rs]
-            acc = None
-            scale = 0.0
+            acc, scale = None, 0.0
             for i in range(1, n + 1):
                 j = n + 1 - i
                 if i > tb.max_arity or j > tb.max_arity:

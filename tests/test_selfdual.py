@@ -344,7 +344,7 @@ def test_transferred_degree_one_product_matches_section_products(tb):
     assert (len(d), len(t)) == (4, 3)
     P = section_product_coeffs(build_model(1, 12), build_model(2, 12))
     want = np.einsum("ab,ijc->aibjc", EPS, P).reshape(4, 4, 3)
-    block = tb.m[2][np.ix_(d, d)]
+    block = tb.dense(2)[np.ix_(d, d)]
     assert np.abs(block[:, :, t] - want).max() <= 1e-13 * np.abs(want).max()
     assert not np.delete(block, t, axis=2).any()
 

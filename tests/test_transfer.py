@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -21,6 +22,17 @@ TB = transfer(CON, max_arity=4)
 
 def hidx(con, k):
     return int(np.nonzero(con.i_mat[:, k])[0][0])
+
+
+def _dense(tb):
+    """Every transferred operation as a dense array, keyed by arity."""
+    return {n: tb.dense(n) for n in range(1, tb.max_arity + 1)}
+
+
+def _support(T):
+    """The support form (index tuple, values) of a dense tensor."""
+    idx = np.nonzero(T)
+    return idx, T[idx]
 
 
 class TestToy:
@@ -59,8 +71,8 @@ class TestToy:
         tb = transfer(self.con, max_arity=4)
         a = {n: k for k, n in enumerate(["one", "e1", "e2", "e13",
                                          "e23", "e123"])}
-        m2, m3, m4 = tb.m[2], tb.m[3], tb.m[4]
-        assert np.abs(tb.m[1]).max() == 0.0
+        m2, m3, m4 = tb.dense(2), tb.dense(3), tb.dense(4)
+        assert np.abs(tb.m1).max() == 0.0
         assert m2[a["e1"], a["e23"], a["e123"]] == 1.0
         assert np.abs(m2[a["e1"], a["e2"]]).max() == 0.0
         assert m3[a["e1"], a["e2"], a["e2"], a["e23"]] == -1.0
@@ -71,13 +83,14 @@ class TestToy:
 
     def test_oracle_agrees(self):
         tb = transfer(self.con, max_arity=3)
+        m3 = tb.dense(3)
         rng = np.random.default_rng(7)
         for _ in range(25):
             idx = rng.integers(6, size=3)
             vecs = [self.con.i_mat[:, t].astype(complex) for t in idx]
             dd = [int(self.con.harm_degrees[t]) for t in idx]
             ref = self.con.p_mat @ lambda_oracle(self.alg, self.H, vecs, dd)
-            assert np.abs(ref - tb.m[3][tuple(idx)]).max() < 1e-14
+            assert np.abs(ref - m3[tuple(idx)]).max() < 1e-14
 
     def test_relations_exact(self):
         tb = transfer(self.con, max_arity=4)
@@ -95,32 +108,27 @@ class TestToy:
     def test_bracket_matches_einsum_on_nonzero_m3(self, rank):
         # the toy's m3 is nonzero, so arity 3 sums over a real support
         tb = transfer(self.con, max_arity=3)
-        assert np.abs(tb.m[3]).max() > 0.5
+        m = _dense(tb)
+        assert np.abs(m[3]).max() > 0.5
         rng = np.random.default_rng(13)
         nonzero = 0
         for degs in [(a, b) for a in range(4) for b in range(4)] + [
                 (1, 1, 1), (1, 1, 2), (0, 1, 1), (1, 2, 1)]:
             xs = [random_homogeneous(tb.degrees, rng, r, rank)
                   for r in degs]
-            want, scale = _bracket_oracle(tb.m[len(degs)], xs, degs)
+            want, scale = _bracket_oracle(m[len(degs)], xs, degs)
             got = tb.bracket(xs)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14 * scale
             nonzero += len(degs) == 3 and scale > 0.1
         assert nonzero > 0
 
-    def test_tensors_read_only(self):
-        # bracket() reads the support at construction, so the tensors it
-        # holds refuse in-place edits
-        tb = transfer(self.con, max_arity=3)
-        with pytest.raises(ValueError, match="read-only"):
-            tb.m[2][1, 2, 4] += 0.3
-
     def test_corrupted_bracket_fails(self):
         tb = transfer(self.con, max_arity=3)
-        bad = {k: v.copy() for k, v in tb.m.items()}
-        bad[2][1, 2, 4] += 0.3
-        tbad = Transferred(bad, tb.degrees, self.con)
+        bad = tb.dense(2)
+        bad[1, 2, 4] += 0.3
+        tbad = Transferred(tb.m1, tb.support | {2: _support(bad)},
+                           tb.degrees, self.con)
         rng = np.random.default_rng(5)
         # the corrupted entry feeds degree (1,1) inputs, so pin the probes
         lr = check_linfty_relations(tbad, rng, max_arity=3, samples=4,
@@ -193,14 +201,14 @@ class TestSheafComplex:
         assert counts.tolist() == [1, 7, 7, 1]
 
     def test_transferred_differential_vanishes(self):
-        assert np.abs(TB.m[1]).max() == 0.0
+        assert np.abs(TB.m1).max() == 0.0
 
     def test_higher_operations_vanish(self):
         # the binary product survives; the arity 3 and 4 operations are
         # exactly zero on this harmonic space
-        assert np.abs(TB.m[2]).max() > 0.1
-        assert np.abs(TB.m[3]).max() < 1e-13
-        assert np.abs(TB.m[4]).max() < 1e-13
+        assert np.abs(TB.dense(2)).max() > 0.1
+        assert np.abs(TB.dense(3)).max() < 1e-13
+        assert np.abs(TB.dense(4)).max() < 1e-13
 
     def test_oracle_spot_checks(self):
         rng = np.random.default_rng(5)
@@ -209,7 +217,7 @@ class TestSheafComplex:
             vecs = [CON.i_mat[:, t].astype(complex) for t in idx]
             dd = [int(CON.harm_degrees[t]) for t in idx]
             ref = CON.p_mat @ lambda_oracle(G, G.hom_full, vecs, dd)
-            assert np.abs(ref - TB.m[3][tuple(idx)]).max() < 1e-12
+            assert np.abs(ref - TB.dense(3)[tuple(idx)]).max() < 1e-12
 
     def test_ainfinity_relations(self):
         ai = check_ainfinity(TB, through_arity=5)
@@ -286,9 +294,16 @@ class TestExtendedComplex:
                                     rank=2)
         assert lr[2] < 1e-10
 
-    def test_arity_four_tensor_guarded(self):
-        with pytest.raises(ValueError, match="too large"):
-            transfer(self.con, max_arity=4, d2=self.ge.d_iota_signed)
+    def test_arity_four_builds_with_d2(self):
+        # 48 harmonics, whose dense m4 would take 4 GB; m3 and m4 have empty
+        # support, and the relations through arity 4 hold with m1 and m2
+        tb = transfer(self.con, max_arity=4, d2=self.ge.d_iota_signed)
+        assert tb.nharm == 48
+        assert len(tb.support[3][1]) == len(tb.support[4][1]) == 0
+        rng = np.random.default_rng(9)
+        lr = check_linfty_relations(tb, rng, max_arity=4, samples=3,
+                                    rank=2)
+        assert lr[3] < 1e-12 and lr[4] < 1e-12, lr
 
 
 def test_random_homogeneous_support():
@@ -340,9 +355,10 @@ def test_bracket_matches_einsum(arity, kinds):
     # exact zeros on about half the entries, so the support is partial
     shape = (nh,) * (arity + 1)
     T = cplx(*shape) * (rng.random(shape) < 0.5)
-    tb = Transferred({arity: T, arity + 1: np.zeros(shape + (nh,))},
-                     degrees, None)
-    assert 0 < len(tb.support[arity][0]) == np.count_nonzero(T) < T.size
+    tb = Transferred(np.zeros((nh, nh)), {
+        arity: _support(T), arity + 1: _support(np.zeros(shape + (nh,)))},
+        degrees, None)
+    assert 0 < len(tb.support[arity][1]) == np.count_nonzero(T) < T.size
     matrix = {"scalar": [False] * arity, "matrix": [True] * arity,
               "mixed": [i % 2 == 1 for i in range(arity)]}[kinds]
     # even, odd and mixed argument degrees
@@ -430,11 +446,12 @@ def cutoff():
 def test_spin_cutoff_brackets_match_the_oracle(cutoff):
     con, tb = cutoff
     assert con.nharm == 28
-    assert np.count_nonzero(tb.m[3]) > 2000
-    assert np.count_nonzero(tb.m[4]) > 15000
+    assert np.count_nonzero(tb.dense(3)) > 2000
+    assert np.count_nonzero(tb.dense(4)) > 15000
     rng = np.random.default_rng(17)
     # the arity-3 build contracts m3 against the root rows
-    for m in (tb.m[3], tb.m[4], transfer(con, max_arity=3).m[3]):
+    for m in (tb.dense(3), tb.dense(4),
+              transfer(con, max_arity=3).dense(3)):
         n = m.ndim - 1
         support = np.transpose(np.nonzero(m))[:, :n]
         picks = [support[rng.integers(len(support))] for _ in range(10)]
@@ -452,20 +469,35 @@ def test_top_arity_contracted_against_the_root(which, cutoff):
     # top arity skips the stack and the root pick, so it moves by roundoff
     if which == "toy":
         con = Contraction(*heisenberg_dga())
-        full = transfer(con, max_arity=4).m
+        full = _dense(transfer(con, max_arity=4))
     elif which == "cutoff":
         con, tb = cutoff
-        full = tb.m
+        full = _dense(tb)
     else:
         con = build_contraction(GComplex(4))
-        full = transfer(con, max_arity=4).m
+        full = _dense(transfer(con, max_arity=4))
     for k in (2, 3):
-        got = transfer(con, max_arity=k).m
+        got = _dense(transfer(con, max_arity=k))
         assert sorted(got) == list(range(1, k + 1))
         for j in range(1, k):
             assert np.array_equal(got[j], full[j]), (k, j)
         scale = np.abs(full[k]).max()
         assert np.abs(got[k] - full[k]).max() <= 1e-15 * scale, k
+
+
+def test_cutoff_arity_four_build_holds_no_dense_tensor(cutoff):
+    # the dense m4 of the 2j <= 2 cutoff, 28**5 complex entries, is 275 MB:
+    # the build peaks below it and keeps under a tenth of it
+    con, _ = cutoff
+    dense = 16 * con.nharm ** 5
+    tracemalloc.start()
+    try:
+        tb = transfer(con, max_arity=4)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tb.support[4][1]) > 15000
+    assert peak < dense and held < dense / 10, (peak, held)
 
 
 def test_spin_cutoff_relations(cutoff):
@@ -483,13 +515,13 @@ def test_transfer_matches_dense_einsum_path(which, cutoff):
     if which == "toy":
         alg, d, H, proj, degs = heisenberg_dga()
         con = Contraction(alg, d, H, proj, degs)
-        got = transfer(con, max_arity=4).m
+        got = _dense(transfer(con, max_arity=4))
     elif which == "cutoff":
         con, tb = cutoff
-        got = tb.m
+        got = _dense(tb)
     else:
         con = build_contraction(GComplex(4))
-        got = transfer(con, max_arity=4).m
+        got = _dense(transfer(con, max_arity=4))
     want = _dense_transfer(con)
     for n in range(1, 5):
         assert np.array_equal(got[n], want[n]), n
