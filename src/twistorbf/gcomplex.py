@@ -359,6 +359,8 @@ class GComplex:
     def _profiles(self, model, q):
         """(profiles, torus weights) of a model's degree-q basis on the
         radial rule, and the rule's projection weights for degree q.  The
+        values are the model's `grid_data`, one array pass over its
+        coefficient table, taken once per (twist, levels, degree).  The
         nodes lie on the positive real axis, where every phase is 1, so the
         profiles are kept as real arrays; raises if one is not real."""
         key = (model.n, model.levels, q)

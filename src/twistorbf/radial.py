@@ -135,49 +135,116 @@ class RadialFun:
     # -- evaluation -------------------------------------------------------
 
     def profile(self, u, extra=0.0):
-        """Radial profile r^|w| sum c_m u^m / D^(gamma+extra) at u = |z|^2.
-
-        Stable for large u via the reversed polynomial; requires the profile
-        to be bounded (true once extra carries the right metric weight, and
-        checked loudly otherwise).
-        """
+        """Radial profile r^|w| sum c_m u^m / D^(gamma+extra) at u = |z|^2:
+        the one-row case of `ChartTable.profiles`."""
         u = np.asarray(u, dtype=float)
-        w, m0, c = self.canonical()
-        gt = self.gamma + extra
-        out = np.zeros(u.shape, dtype=complex)
-        lo = u <= 1.0
-        if np.any(lo):
-            ul = u[lo]
-            s = np.zeros(ul.shape, dtype=complex)
-            for cm in c[::-1]:
-                s = s * ul + cm
-            s *= ul ** m0
-            out[lo] = (ul ** (abs(w) / 2.0)) * s / (1.0 + ul) ** gt
-        hi = ~lo
-        if np.any(hi):
-            up = 1.0 / u[hi]
-            s = np.zeros(up.shape, dtype=complex)
-            for cm in c:
-                s = s * up + cm
-            mmax = m0 + len(c) - 1
-            e = gt - abs(w) / 2.0 - mmax
-            out[hi] = (up ** e) * s / (1.0 + up) ** gt
-        return out
+        prof = ChartTable([self]).profiles(u.ravel(), extra)[0]
+        return prof.astype(complex).reshape(u.shape)
 
     def eval(self, z, extra=0.0):
         """Value f(z) D^-extra, vectorized and large-|z| stable."""
-        z = np.asarray(z, dtype=complex)
-        u = np.abs(z) ** 2
-        # the unit phase z/|z| is taken as 1 at the origin, where a profile
-        # of nonzero weight carries the factor |z|^|w| = 0
-        unit = np.where(u > 0, z / np.where(u > 0, np.abs(z), 1.0), 1.0)
-        return self.profile(u, extra=extra) * unit ** self.weight
+        return ChartTable([self]).values(z, extra)[0]
 
-    def boundedness_margin(self, extra=0.0):
-        """gamma + extra - |w|/2 - m_max; negative means growth at infinity."""
-        w, m0, c = self.canonical()
-        mmax = m0 + len(c) - 1 if len(c) else 0
-        return self.gamma + extra - abs(w) / 2.0 - mmax
+
+# points per pass of `ChartTable.values`: a pass holds a few (rows x points)
+# temporaries, small beside the output; 256 to 1,024 points per pass ran
+# fastest on tables of 64 to 288 rows
+CHUNK_POINTS = 512
+
+
+def _powers(base, exps):
+    """(stack of base ** x over the distinct x in exps, row of each exponent
+    in it): one scalar power per distinct exponent, since numpy's fast paths
+    for x = 0.5, 1, 2, ... take a scalar only."""
+    index = {}
+    rows = [index.setdefault(x, len(index)) for x in exps.tolist()]
+    pows = np.empty((len(index),) + base.shape, dtype=base.dtype)
+    for i, x in enumerate(index):
+        pows[i] = base ** x
+    return pows, rows
+
+
+class ChartTable:
+    """Chart functions f_i = z^A zbar^B sum_m c_im u^m D^-gamma_i, read off
+    their `canonical` forms into one padded coefficient table and evaluated
+    row by row in one array pass.
+
+    Each row holds the torus weight w, m0, the coefficient count and gamma.
+    The u <= 1 branch sums the polynomial by Horner from the top coefficient
+    down, the u > 1 branch the reversed polynomial from m0 up; `lo` and `hi`
+    hold the coefficients in each loop's order, zero-padded where the loop
+    starts, so a row's sum stays exactly 0 until its first coefficient and
+    every row takes the floating-point steps of a loop over that row alone.
+    The coefficients are stored real when all are (a complex Horner sums
+    real and imaginary parts apart, so both give the same values).
+    """
+
+    def __init__(self, funs):
+        canon = [f.canonical() for f in funs]
+        self.weights = np.array([w for w, _, _ in canon], dtype=int)
+        self.m0 = np.array([m0 for _, m0, _ in canon], dtype=int)
+        self.count = np.array([len(c) for _, _, c in canon], dtype=int)
+        self.gamma = np.array([f.gamma for f in funs], dtype=int)
+        width = self.count.max(initial=0)
+        lo = np.zeros((len(canon), width), dtype=complex)
+        hi = np.zeros((len(canon), width), dtype=complex)
+        for i, (_, _, c) in enumerate(canon):
+            lo[i, width - len(c):] = c[::-1]
+            hi[i, width - len(c):] = c
+        if not np.any(lo.imag):
+            lo, hi = lo.real.copy(), hi.real.copy()
+        self.lo, self.hi = lo, hi
+
+    def margins(self, extra):
+        """gamma + extra - |w|/2 - m_max of each row: the profile at extra
+        is bounded at infinity exactly where this is >= 0."""
+        return (self.gamma + extra - np.abs(self.weights) / 2.0
+                - (self.m0 + self.count - 1))
+
+    def profiles(self, u, extra):
+        """Radial profiles r^|w| sum_m c_m u^m / D^(gamma+extra) of every row
+        at the points u = |z|^2 (1-D), shape (rows, len(u)).
+
+        For u > 1 the sum runs over the reversed polynomial in 1/u, which is
+        stable for large u on every row with a nonnegative margin."""
+        gt = self.gamma + extra
+        half = np.abs(self.weights) / 2.0
+        out = np.empty((len(self.weights), len(u)), dtype=self.lo.dtype)
+        small = u <= 1.0
+        for at, x, coeffs, exps in (
+                (small, u[small], self.lo, (self.m0, half)),
+                # with x = 1/u, x^margin D(x)^-gt = u^(|w|/2 + m_max) D(u)^-gt,
+                # and u^-m_max turns the sum into the reversed polynomial
+                (~small, 1.0 / u[~small], self.hi, (self.margins(extra),))):
+            s = np.zeros((len(coeffs), len(x)), dtype=coeffs.dtype)
+            for c in coeffs.T:
+                s *= x
+                s += c[:, None]
+            for e in exps:
+                pows, rows = _powers(x, e)
+                s *= pows[rows]
+            # a complex value over a real D is numpy's value times 1.0 / D
+            pows, rows = _powers(1.0 + x, gt)
+            s *= (1.0 / pows)[rows]
+            out[:, at] = s
+        return out
+
+    def values(self, z, extra):
+        """Values f_i(z) D^-extra of every row, shape (rows,) + z.shape."""
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        out = np.empty((len(self.weights), flat.size), dtype=complex)
+        for k in range(0, flat.size, CHUNK_POINTS):
+            zc = flat[k:k + CHUNK_POINTS]
+            u = np.abs(zc) ** 2
+            # the unit phase z/|z| is taken as 1 at the origin, where a
+            # profile of nonzero weight carries the factor |z|^|w| = 0
+            unit = np.where(u > 0, zc / np.where(u > 0, np.abs(zc), 1.0),
+                            1.0)
+            pows, rows = _powers(unit, self.weights)
+            np.multiply(self.profiles(u, extra), pows[rows],
+                        out=out[:, k:k + CHUNK_POINTS])
+        return out.reshape((len(self.weights),) + z.shape)
 
 
 def monomial(a, b, gamma=0, coeff=1.0):

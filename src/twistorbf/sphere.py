@@ -12,7 +12,11 @@ times the level constant lambda_p, which makes the Green operator, the
 harmonic projector and the standard homotopy H = dbar* G explicit; the three
 are held once, as `graded.Gather`s on the total space (sections, then
 forms), and the chain identity {dbar, H} = 1 - P holds to machine precision
-by construction.
+by construction.  The model also holds one coefficient table per degree, a
+`radial.ChartTable` of its chart functions, built once with the basis: the
+build checks from it that every normalized profile is bounded, and
+`basis_values` reads the values on any set of points off it in one array
+pass.
 
 Conventions fixed here and used everywhere else:
   * chart metric weight D = 1 + |z|^2, fiber metric D^-n,
@@ -30,7 +34,7 @@ import numpy as np
 
 from .graded import (BigradedSpace, Gather, GradedMap,
                      chain_identity_residual, cohomology)
-from .radial import RadialFun, hermitian_inner
+from .radial import ChartTable, RadialFun, hermitian_inner
 
 
 def level_sections(n, p):
@@ -171,8 +175,6 @@ class LineBundleModel:
                         raise AssertionError(
                             "twist %d level %d: |dbar f / lambda|^2 - 1 = "
                             "%.3g" % (n, p, resid))
-                if g.boundedness_margin(self.n / 2.0 - 1.0) < -1e-9:
-                    raise AssertionError("unbounded normalized form profile")
                 self._image_pairs.append((len(self.funs0) - 1,
                                           len(self.funs1)))
                 self.funs1.append(g)
@@ -186,6 +188,20 @@ class LineBundleModel:
         self.dim0 = len(self.funs0)
         self.dim1 = len(self.funs1)
         self.lam0 = self.lambdas[self.level0]
+
+        # every basis coefficient is real: the sections', the harmonic
+        # forms' and dbar's, scaled by a real lambda
+        self.tables = (ChartTable(self.funs0), ChartTable(self.funs1))
+        for q, table in enumerate(self.tables):
+            if table.lo.dtype != float:
+                raise AssertionError("twist %d degree %d: complex chart "
+                                     "coefficients" % (n, q))
+            margins = table.margins(self.normalized_extra(q))
+            if np.any(margins < 0):
+                i = np.argmin(margins)
+                raise AssertionError(
+                    "twist %d degree %d weight %d: unbounded chart profile, "
+                    "margin %.3g" % (n, q, table.weights[i], margins[i]))
 
     def _build_operators(self):
         # on the total space: sections, then forms
@@ -221,14 +237,9 @@ class LineBundleModel:
         return self.n / 2.0 if degree == 0 else self.n / 2.0 - 1.0
 
     def basis_values(self, z, degree):
-        """Matrix of normalized basis chart values, shape (dim, len(z))."""
-        z = np.asarray(z, dtype=complex)
-        extra = self.normalized_extra(degree)
-        fs = self.funs(degree)
-        out = np.empty((len(fs), z.size), dtype=complex)
-        for i, f in enumerate(fs):
-            out[i] = f.eval(z.ravel(), extra=extra)
-        return out.reshape((len(fs),) + z.shape)
+        """Matrix of normalized basis chart values, shape (dim,) + z.shape,
+        from the degree's coefficient table in one array pass."""
+        return self.tables[degree].values(z, self.normalized_extra(degree))
 
     def values(self, coeffs, z, degree):
         return np.tensordot(np.asarray(coeffs), self.basis_values(z, degree),

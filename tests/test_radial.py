@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twistorbf.radial import (
+    ChartTable,
     RadialFun,
     RadialGrid,
     SphereGrid,
@@ -161,9 +162,66 @@ def test_basis_values_at_the_origin_raise_no_warning(n):
 
 
 def test_boundedness_margin():
-    f = monomial(3, 0, gamma=0)
-    assert f.boundedness_margin() == pytest.approx(-1.5)
-    assert f.boundedness_margin(extra=4.0) == pytest.approx(2.5)
+    table = ChartTable([monomial(3, 0, gamma=0)])
+    assert table.margins(0.0)[0] == pytest.approx(-1.5)
+    assert table.margins(4.0)[0] == pytest.approx(2.5)
+
+
+def horner_profile(f, u, extra=0.0):
+    """Reference profile: one function, one complex Horner sum per branch,
+    as `RadialFun.profile` computed it before the chart table."""
+    u = np.asarray(u, dtype=float)
+    w, m0, c = f.canonical()
+    gt = f.gamma + extra
+    out = np.zeros(u.shape, dtype=complex)
+    lo = u <= 1.0
+    if np.any(lo):
+        ul = u[lo]
+        s = np.zeros(ul.shape, dtype=complex)
+        for cm in c[::-1]:
+            s = s * ul + cm
+        s *= ul ** m0
+        out[lo] = (ul ** (abs(w) / 2.0)) * s / (1.0 + ul) ** gt
+    hi = ~lo
+    if np.any(hi):
+        up = 1.0 / u[hi]
+        s = np.zeros(up.shape, dtype=complex)
+        for cm in c:
+            s = s * up + cm
+        mmax = m0 + len(c) - 1
+        e = gt - abs(w) / 2.0 - mmax
+        out[hi] = (up ** e) * s / (1.0 + up) ** gt
+    return out
+
+
+def horner_eval(f, z, extra=0.0):
+    z = np.asarray(z, dtype=complex)
+    u = np.abs(z) ** 2
+    unit = np.where(u > 0, z / np.where(u > 0, np.abs(z), 1.0), 1.0)
+    return horner_profile(f, u, extra=extra) * unit ** f.weight
+
+
+ORACLE_Z = np.concatenate([
+    [0.0, 1.0, -1j, np.exp(0.3j), 1e6, -1e8 + 3e7j],
+    SAMPLE_Z, RadialGrid(48).z, SphereGrid(8, 16).z])
+
+
+@pytest.mark.parametrize("f, extra", [
+    # complex coefficients: real and imaginary parts are summed apart
+    (RadialFun({(1, 0): 2.0, (2, 1): 0.3 - 1.5j, (3, 2): 1e-3 + 2j},
+               gamma=3), 0.5),
+    (RadialFun({(0, 2): -1j, (1, 3): 0.25j}, gamma=4), 1.0),
+    (monomial(0, 0, gamma=1), 0.0),
+    (build_model(-3, 6).funs1[-1], -2.5),
+    (build_model(2, 6).funs0[7], 1.0),
+])
+def test_profile_and_eval_match_the_horner_oracle(f, extra):
+    # the chart table's one-row case takes the oracle's floating-point
+    # steps, so the values agree bit for bit
+    u = np.abs(ORACLE_Z) ** 2
+    assert np.array_equal(f.profile(u, extra), horner_profile(f, u, extra))
+    assert np.array_equal(f.eval(ORACLE_Z, extra),
+                          horner_eval(f, ORACLE_Z, extra))
 
 
 def test_weight_mixing_rejected():

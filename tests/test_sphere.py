@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twistorbf import sphere
-from twistorbf.radial import RadialFun, RadialGrid, SphereGrid, hermitian_inner
+from twistorbf.radial import (
+    CHUNK_POINTS,
+    RadialFun,
+    RadialGrid,
+    SphereGrid,
+    hermitian_inner,
+    monomial,
+)
 from twistorbf.sphere import (
     LineBundleModel,
     Mobius,
@@ -149,6 +157,66 @@ def test_normalization_guard_names_its_residual(monkeypatch):
     monkeypatch.setattr(sphere, "level_sections", off)
     with pytest.raises(AssertionError, match=r"twist -2 level 0: .* = 0\.002"):
         build_model(-2, 3)
+
+
+def test_unbounded_section_stops_the_build(monkeypatch):
+    # u times the weight-n section of level 4 (past the normalization
+    # guard's levels) grows like |z| at infinity
+    def grown(n, p):
+        return [(w, f.mul(monomial(1, 1)) if p == 4 and w == n else f)
+                for w, f in level_sections(n, p)]
+
+    monkeypatch.setattr(sphere, "level_sections", grown)
+    with pytest.raises(AssertionError, match=r"twist -2 degree 0 weight -2: "
+                       r"unbounded chart profile, margin -1\b"):
+        build_model(-2, 5)
+
+
+def _per_function_values(m, z, degree):
+    """Basis values one chart function at a time, as `basis_values`
+    computed them before the coefficient table."""
+    z = np.asarray(z, dtype=complex)
+    extra = m.normalized_extra(degree)
+    fs = m.funs(degree)
+    out = np.empty((len(fs), z.size), dtype=complex)
+    for i, f in enumerate(fs):
+        out[i] = f.eval(z.ravel(), extra=extra)
+    return out.reshape((len(fs),) + z.shape)
+
+
+_RNG = np.random.default_rng(5)
+BASIS_POINTS = {
+    "radial48": RadialGrid(48).z,
+    "sphere": SphereGrid(8, 16).z,
+    "special": np.array([0.0, 1.0, -1j, np.exp(0.3j), 1e6, -1e6j]),
+    # one past a chunk boundary of the array pass
+    "chunk+1": (np.exp(_RNG.uniform(-8.0, 8.0, CHUNK_POINTS + 1))
+                * np.exp(2j * np.pi * _RNG.random(CHUNK_POINTS + 1))),
+}
+
+
+@pytest.mark.parametrize("levels", [1, 4, 14])
+@pytest.mark.parametrize("n", range(-8, 9))
+def test_basis_values_match_per_function_eval(n, levels):
+    m = build_model(n, levels)
+    for z in BASIS_POINTS.values():
+        for degree in (0, 1):
+            assert np.array_equal(m.basis_values(z, degree),
+                                  _per_function_values(m, z, degree))
+
+
+def test_basis_values_peak_memory():
+    # the array pass runs over chunks of points, so its temporaries stay
+    # small beside the (functions x points) output
+    m = build_model(0, 8)
+    z = np.exp(0.4j) * np.linspace(0.1, 10.0, 8192)
+    tracemalloc.start()
+    try:
+        out = m.basis_values(z, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.nbytes, (peak, out.nbytes)
 
 
 def test_serre_dimensions_full_range():
