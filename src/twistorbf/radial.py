@@ -117,21 +117,6 @@ class RadialFun:
         for k in [k for k, c in self.terms.items() if abs(c) <= tol]:
             del self.terms[k]
 
-    # -- canonical (weight, offset-coefficients) form ---------------------
-
-    def canonical(self):
-        """Return (w, m0, coeff_vector): f = z^A zbar^B sum_m c_m u^m D^-gamma
-        with (A, B) = (max(w,0), max(-w,0)) and m running from m0."""
-        if not self.terms:
-            return 0, 0, np.zeros(0, dtype=complex)
-        w = self.weight
-        ms = sorted(min(a, b) for (a, b) in self.terms)
-        m0, m1 = ms[0], ms[-1]
-        c = np.zeros(m1 - m0 + 1, dtype=complex)
-        for (a, b), v in self.terms.items():
-            c[min(a, b) - m0] += v
-        return w, m0, c
-
     # -- evaluation -------------------------------------------------------
 
     def profile(self, u, extra=0.0):
@@ -146,10 +131,10 @@ class RadialFun:
         return ChartTable([self]).values(z, extra)[0]
 
 
-# points per pass of `ChartTable.values`: a pass holds a few (rows x points)
-# temporaries, small beside the output; 256 to 1,024 points per pass ran
-# fastest on tables of 64 to 288 rows
-CHUNK_POINTS = 512
+# rows x points per pass of `ChartTable.values`: a pass holds a few such
+# temporaries, small beside the output; 2^15 to 2^18 ran about equally fast
+# on tables of 50 to 290 rows
+CHUNK_ELEMENTS = 1 << 16
 
 
 def _powers(base, exps):
@@ -165,9 +150,10 @@ def _powers(base, exps):
 
 
 class ChartTable:
-    """Chart functions f_i = z^A zbar^B sum_m c_im u^m D^-gamma_i, read off
-    their `canonical` forms into one padded coefficient table and evaluated
-    row by row in one array pass.
+    """Chart functions f_i = z^A zbar^B sum_m c_im u^m D^-gamma_i, with
+    (A, B) = (max(w, 0), max(-w, 0)) and m running from m0, read off their
+    terms into one padded coefficient table and evaluated row by row in one
+    array pass.
 
     Each row holds the torus weight w, m0, the coefficient count and gamma.
     The u <= 1 branch sums the polynomial by Horner from the top coefficient
@@ -180,20 +166,26 @@ class ChartTable:
     """
 
     def __init__(self, funs):
-        canon = [f.canonical() for f in funs]
-        self.weights = np.array([w for w, _, _ in canon], dtype=int)
-        self.m0 = np.array([m0 for _, m0, _ in canon], dtype=int)
-        self.count = np.array([len(c) for _, _, c in canon], dtype=int)
+        self.weights = np.array([f.weight for f in funs], dtype=int)
         self.gamma = np.array([f.gamma for f in funs], dtype=int)
+        # the power m = min(a, b) of u in each term z^a zbar^b of each row
+        powers = [[min(ab) for ab in f.terms] for f in funs]
+        self.m0 = np.array([min(p, default=0) for p in powers], dtype=int)
+        self.count = np.array([max(p, default=-1) + 1 for p in powers],
+                              dtype=int) - self.m0
+        row = np.repeat(np.arange(len(funs)), [len(p) for p in powers])
+        j = np.array([m for p in powers for m in p], dtype=int) - self.m0[row]
+        c = np.array([c for f in funs for c in f.terms.values()],
+                     dtype=complex)
+        if not np.any(c.imag):
+            c = c.real
         width = self.count.max(initial=0)
-        lo = np.zeros((len(canon), width), dtype=complex)
-        hi = np.zeros((len(canon), width), dtype=complex)
-        for i, (_, _, c) in enumerate(canon):
-            lo[i, width - len(c):] = c[::-1]
-            hi[i, width - len(c):] = c
-        if not np.any(lo.imag):
-            lo, hi = lo.real.copy(), hi.real.copy()
-        self.lo, self.hi = lo, hi
+        self.lo = np.zeros((len(funs), width), dtype=c.dtype)
+        self.hi = np.zeros((len(funs), width), dtype=c.dtype)
+        self.lo[row, width - 1 - j] = c
+        self.hi[row, width - self.count[row] + j] = c
+        # points per pass of `values`
+        self.step = max(1, CHUNK_ELEMENTS // max(1, len(funs)))
 
     def margins(self, extra):
         """gamma + extra - |w|/2 - m_max of each row: the profile at extra
@@ -216,6 +208,8 @@ class ChartTable:
                 # with x = 1/u, x^margin D(x)^-gt = u^(|w|/2 + m_max) D(u)^-gt,
                 # and u^-m_max turns the sum into the reversed polynomial
                 (~small, 1.0 / u[~small], self.hi, (self.margins(extra),))):
+            if not x.size:
+                continue
             s = np.zeros((len(coeffs), len(x)), dtype=coeffs.dtype)
             for c in coeffs.T:
                 s *= x
@@ -234,8 +228,8 @@ class ChartTable:
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
         out = np.empty((len(self.weights), flat.size), dtype=complex)
-        for k in range(0, flat.size, CHUNK_POINTS):
-            zc = flat[k:k + CHUNK_POINTS]
+        for k in range(0, flat.size, self.step):
+            zc = flat[k:k + self.step]
             u = np.abs(zc) ** 2
             # the unit phase z/|z| is taken as 1 at the origin, where a
             # profile of nonzero weight carries the factor |z|^|w| = 0
@@ -243,7 +237,7 @@ class ChartTable:
                             1.0)
             pows, rows = _powers(unit, self.weights)
             np.multiply(self.profiles(u, extra), pows[rows],
-                        out=out[:, k:k + CHUNK_POINTS])
+                        out=out[:, k:k + self.step])
         return out.reshape((len(self.weights),) + z.shape)
 
 

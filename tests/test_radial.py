@@ -167,11 +167,25 @@ def test_boundedness_margin():
     assert table.margins(4.0)[0] == pytest.approx(2.5)
 
 
+def canonical(f):
+    """(w, m0, coefficients c_m from m0 up) of f = z^A zbar^B sum_m c_m u^m
+    D^-gamma, as `RadialFun.canonical` returned them before the chart
+    table."""
+    if not f.terms:
+        return 0, 0, np.zeros(0, dtype=complex)
+    ms = sorted(min(a, b) for (a, b) in f.terms)
+    m0, m1 = ms[0], ms[-1]
+    c = np.zeros(m1 - m0 + 1, dtype=complex)
+    for (a, b), v in f.terms.items():
+        c[min(a, b) - m0] += v
+    return f.weight, m0, c
+
+
 def horner_profile(f, u, extra=0.0):
     """Reference profile: one function, one complex Horner sum per branch,
     as `RadialFun.profile` computed it before the chart table."""
     u = np.asarray(u, dtype=float)
-    w, m0, c = f.canonical()
+    w, m0, c = canonical(f)
     gt = f.gamma + extra
     out = np.zeros(u.shape, dtype=complex)
     lo = u <= 1.0
@@ -222,6 +236,18 @@ def test_profile_and_eval_match_the_horner_oracle(f, extra):
     assert np.array_equal(f.profile(u, extra), horner_profile(f, u, extra))
     assert np.array_equal(f.eval(ORACLE_Z, extra),
                           horner_eval(f, ORACLE_Z, extra))
+
+
+@pytest.mark.parametrize("n", range(-8, 9))
+def test_every_basis_function_matches_the_horner_oracle(n):
+    # with tests/test_sphere.py, which matches `basis_values` to a loop over
+    # `eval`, this ties the array pass to the old per-function values
+    m = build_model(n, 14)
+    for degree in (0, 1):
+        extra = m.normalized_extra(degree)
+        for f in m.funs(degree):
+            assert np.array_equal(f.eval(ORACLE_Z, extra),
+                                  horner_eval(f, ORACLE_Z, extra))
 
 
 def test_weight_mixing_rejected():

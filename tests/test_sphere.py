@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twistorbf import sphere
 from twistorbf.radial import (
-    CHUNK_POINTS,
     RadialFun,
     RadialGrid,
     SphereGrid,
@@ -184,23 +183,26 @@ def _per_function_values(m, z, degree):
     return out.reshape((len(fs),) + z.shape)
 
 
-_RNG = np.random.default_rng(5)
 BASIS_POINTS = {
     "radial48": RadialGrid(48).z,
     "sphere": SphereGrid(8, 16).z,
     "special": np.array([0.0, 1.0, -1j, np.exp(0.3j), 1e6, -1e6j]),
-    # one past a chunk boundary of the array pass
-    "chunk+1": (np.exp(_RNG.uniform(-8.0, 8.0, CHUNK_POINTS + 1))
-                * np.exp(2j * np.pi * _RNG.random(CHUNK_POINTS + 1))),
 }
+
+
+def _past_one_pass(table, seed=5):
+    """Random points, one more than the table's array pass takes at once."""
+    rng = np.random.default_rng(seed)
+    return (np.exp(rng.uniform(-8.0, 8.0, table.step + 1))
+            * np.exp(2j * np.pi * rng.random(table.step + 1)))
 
 
 @pytest.mark.parametrize("levels", [1, 4, 14])
 @pytest.mark.parametrize("n", range(-8, 9))
 def test_basis_values_match_per_function_eval(n, levels):
     m = build_model(n, levels)
-    for z in BASIS_POINTS.values():
-        for degree in (0, 1):
+    for degree in (0, 1):
+        for z in [*BASIS_POINTS.values(), _past_one_pass(m.tables[degree])]:
             assert np.array_equal(m.basis_values(z, degree),
                                   _per_function_values(m, z, degree))
 
