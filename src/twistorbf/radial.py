@@ -175,7 +175,7 @@ class ChartTable:
                               dtype=int) - self.m0
         row = np.repeat(np.arange(len(funs)), [len(p) for p in powers])
         j = np.array([m for p in powers for m in p], dtype=int) - self.m0[row]
-        c = np.array([c for f in funs for c in f.terms.values()],
+        c = np.array([v for f in funs for v in f.terms.values()],
                      dtype=complex)
         if not np.any(c.imag):
             c = c.real

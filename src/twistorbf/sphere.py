@@ -147,20 +147,16 @@ class LineBundleModel:
         # when b = 0
         self.lambdas = np.sqrt(2.0 * b * (a + 1))
 
-        # weights0 and weights1 hold each chart function's torus weight,
-        # RadialFun.weight: an image form's is one more than its section's
-        self.funs0, self.weights0, self.level0 = [], [], []
-        self.funs1, self.weights1, self.src_level1 = [], [], []
+        self.funs0, self.level0 = [], []
+        self.funs1, self.src_level1 = [], []
         self._image_pairs = []      # (section, its image form)
-        for w, f in harmonic_forms(n):
+        for _, f in harmonic_forms(n):
             self.funs1.append(f)
-            self.weights1.append(w)
             self.src_level1.append(-1)
         self.n_harm1 = len(self.funs1)
         for p, lam in enumerate(self.lambdas):
-            for w, f in level_sections(n, p):
+            for _, f in level_sections(n, p):
                 self.funs0.append(f)
-                self.weights0.append(w)
                 self.level0.append(p)
                 if lam == 0.0:
                     continue
@@ -178,12 +174,9 @@ class LineBundleModel:
                 self._image_pairs.append((len(self.funs0) - 1,
                                           len(self.funs1)))
                 self.funs1.append(g)
-                self.weights1.append(w + 1)
                 self.src_level1.append(p)
 
-        self.weights0 = np.array(self.weights0, dtype=int)
         self.level0 = np.array(self.level0, dtype=int)
-        self.weights1 = np.array(self.weights1, dtype=int)
         self.src_level1 = np.array(self.src_level1, dtype=int)
         self.dim0 = len(self.funs0)
         self.dim1 = len(self.funs1)
@@ -192,6 +185,9 @@ class LineBundleModel:
         # every basis coefficient is real: the sections', the harmonic
         # forms' and dbar's, scaled by a real lambda
         self.tables = (ChartTable(self.funs0), ChartTable(self.funs1))
+        # each chart function's torus weight, RadialFun.weight: an image
+        # form's is one more than its section's
+        self.weights0, self.weights1 = (t.weights for t in self.tables)
         for q, table in enumerate(self.tables):
             if table.lo.dtype != float:
                 raise AssertionError("twist %d degree %d: complex chart "
